@@ -10,10 +10,14 @@ Implements, all as functions of the eigenvalues x_1 >= ... >= x_N of Y Y^H:
 * the classical energy detector baseline, and
 * the source-count posterior over {0, 1, ..., m_max} sources.
 
+Each statistic has one evaluation path: the batch kernels (guard, signal
+components per (m, sigma2), logsumexp combine, energy) run on (B, N) stacks,
+and the scalar API runs them at B=1, bit for bit.
+
 The alternating sums in the closed forms can cancel catastrophically when
-eigenvalues cluster, so every evaluation tracks its cancellation severity
-and re-runs in multiprecision arithmetic when more than
-CANCEL_DIGITS_LIMIT decimal digits were lost or the sign came out wrong.
+eigenvalues cluster, so every component tracks its cancellation severity; one
+that lost more than CANCEL_DIGITS_LIMIT digits, is non-finite or has the wrong
+sign is flagged in a batch and re-run in multiprecision on the scalar path.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .special import (
     SignedLog,
     _log_j_batch,
     _log_j_segment_mp,
-    signed_log_sum,
 )
 from .spectra import EigenSpectrum
 
@@ -237,31 +240,19 @@ def _check_bayes_shape(n: int, L: int) -> None:
 
 
 def _guard_values(vals: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Perturb a descending spectrum whose gaps fall under the guard threshold.
+    """_guard_values_batch for one descending spectrum: (values, perturbed)."""
+    out, flagged = _guard_values_batch(vals[None, :])
+    return out[0], bool(flagged[0])
+
+
+def _guard_values_batch(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Perturb (B, N) descending spectra whose gaps fall under the guard threshold.
 
     The offsets are deterministic and symmetric around zero (epsilon * x_1 *
     centred rank); when a symmetric shift would push the smallest eigenvalue
     negative, a nonnegative variant anchored at the smallest value is used.
+    Returns the guarded rows and the mask of perturbed rows.
     """
-    n = vals.size
-    if n == 1:
-        return vals, False
-    scale = vals[0] if vals[0] > 0.0 else 1.0
-    gaps = vals[:-1] - vals[1:]
-    if gaps.min() >= _GAP_REL * scale:
-        return vals, False
-    ranks = np.arange(1, n + 1, dtype=float)
-    offsets = _PERTURB_EPS * scale * (0.5 * (n + 1) - ranks)
-    if vals[-1] + offsets[-1] < 0.0:
-        offsets = _PERTURB_EPS * scale * (n - ranks)
-    out = vals + offsets
-    if np.any(out[:-1] - out[1:] <= 0.0) or np.any(out < 0.0):
-        raise DegeneracyError("spectrum remained degenerate after the deterministic guard")
-    return out, True
-
-
-def _guard_values_batch(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise version of _guard_values for (B, N) descending spectra."""
     b, n = vals.shape
     if n == 1:
         return vals, np.zeros(b, dtype=bool)
@@ -288,7 +279,8 @@ def _guard_values_batch(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # Noise likelihood
 # ---------------------------------------------------------------------------
 
-def _noise_ll_from_values(gvals_sum: float, n: int, L: int, sigma2: float) -> float:
+def _noise_ll_from_values(gvals_sum, n: int, L: int, sigma2: float):
+    """ln P(Y | pure noise) from the eigenvalue sum; a float or a (B,) array."""
     return -n * L * math.log(math.pi * sigma2) - gvals_sum / sigma2
 
 
@@ -375,6 +367,22 @@ def _perm_sign(perm) -> int:
     return -1 if inversions % 2 else 1
 
 
+def _mimo_tables(n: int, m: int):
+    """Term tables of the m-source sum, shared by the double and mpmath paths.
+
+    (tuples, keeps, bperms, signs): the ordered m-tuples a; per a_i the
+    indices it is differenced against (all but a_1..a_i); the permutations b
+    of the J orders 1..m; and b's parity times the global (-1)^(m(m-1)/2),
+    which makes the likelihood positive.
+    """
+    tuples = list(itertools.permutations(range(n), m))
+    keeps = [[[j for j in range(n) if j not in a[: i + 1]] for i in range(m)]
+             for a in tuples]
+    bperms = list(itertools.permutations(range(1, m + 1)))
+    sign_pref = -1 if (m * (m - 1) // 2) % 2 else 1
+    return tuples, keeps, bperms, [sign_pref * _perm_sign(p) for p in bperms]
+
+
 def _mimo_prefactor_rows(gvals: np.ndarray, L: int, m: int, sigma2: float) -> np.ndarray:
     # Leading constant is 1/m! (each m-subset of sensors appears m! times in
     # the ordered-tuple sum); validated against the Monte Carlo oracle at
@@ -409,30 +417,22 @@ def _mimo_batch(gvals: np.ndarray, L: int, m: int, sigma2: float):
     sgn = np.sign(diffs)
     sgn[:, eye] = 1.0
 
-    tuples = list(itertools.permutations(range(n), m))
-    bperms = list(itertools.permutations(range(1, m + 1)))
-    parities = [_perm_sign(p) for p in bperms]
-    # The inner sum is (-1)^(m(m-1)/2) times the permutation expansion of a
-    # determinant in J orders; this global sign makes the likelihood positive.
-    sign_pref = -1.0 if (m * (m - 1) // 2) % 2 else 1.0
-
+    tuples, keeps, bperms, bsigns = _mimo_tables(n, m)
     col_logs = []
     col_signs = []
-    for a in tuples:
+    for a, keep_a in zip(tuples, keeps):
         dlog = np.zeros(b)
         dsgn = np.ones(b)
-        for i in range(m):
-            keep = [j for j in range(n) if j not in a[: i + 1]]
-            if keep:
-                dlog += logabs[:, a[i], keep].sum(axis=1)
-                dsgn *= sgn[:, a[i], keep].prod(axis=1)
+        for i, keep in enumerate(keep_a):
+            dlog += logabs[:, a[i], keep].sum(axis=1)
+            dsgn *= sgn[:, a[i], keep].prod(axis=1)
         eterm = gvals[:, list(a)].sum(axis=1) / sigma2
-        for parity, bp in zip(parities, bperms):
+        for sign, bp in zip(bsigns, bperms):
             jl = np.zeros(b)
             for l in range(m):
                 jl += jlogs[bp[l] - 1][:, a[l]]
             col_logs.append(eterm + jl - dlog)
-            col_signs.append(sign_pref * parity * dsgn)
+            col_signs.append(sign * dsgn)
 
     logmags = np.stack(col_logs, axis=1)
     signs = np.stack(col_signs, axis=1)
@@ -446,51 +446,41 @@ def _mimo_batch(gvals: np.ndarray, L: int, m: int, sigma2: float):
 # ---------------------------------------------------------------------------
 
 def _signal_mp(gvals: np.ndarray, L: int, m: int, sigma2: float, dps: int):
-    """Multiprecision ln P(Y | m sources); returns (sign, logmag, peak, digits)."""
+    """Multiprecision ln P(Y | m sources); returns (sign, logmag, peak, digits).
+
+    Only the J values and the signed sum run in mpmath: the term tables and
+    the prefactor are the double path's.
+    """
     n = gvals.size
+    tuples, keeps, bperms, bsigns = _mimo_tables(n, m)
+    pref = float(_mimo_prefactor_rows(gvals[None, :], L, m, sigma2)[0])
     with mp.workdps(dps):
         s2 = mp.mpf(sigma2)
         xs = [mp.mpf(float(v)) for v in gvals]
-        x_arg = m * s2
-        u_lo = mp.log(x_arg)
-        jlog = [[_log_j_segment_mp(n - L - 2 + j, m * xs[idx], u_lo, mp.inf, dps)
-                 for idx in range(n)] for j in range(1, m + 1)]
-
-        tuples = list(itertools.permutations(range(n), m))
-        bperms = list(itertools.permutations(range(1, m + 1)))
-        parities = [_perm_sign(p) for p in bperms]
-        sign_pref = -1 if (m * (m - 1) // 2) % 2 else 1
+        u_lo = mp.log(m * s2)
+        jlog = [[_log_j_segment_mp(n - L - 2 + j, m * x, u_lo, mp.inf, dps) for x in xs]
+                for j in range(1, m + 1)]
 
         term_logs = []
         term_signs = []
-        for a in tuples:
+        for a, keep_a in zip(tuples, keeps):
             dlog = mp.mpf(0)
             dsgn = 1
-            for i in range(m):
-                for j in range(n):
-                    if j in a[: i + 1]:
-                        continue
+            for i, keep in enumerate(keep_a):
+                for j in keep:
                     d = xs[a[i]] - xs[j]
                     if d == 0:
                         raise DegeneracyError("degenerate spectrum reached the multiprecision path")
                     dlog += mp.log(abs(d))
                     dsgn = dsgn if d > 0 else -dsgn
             eterm = mp.fsum(xs[i] for i in a) / s2
-            for parity, bp in zip(parities, bperms):
+            for sign, bp in zip(bsigns, bperms):
                 jl = mp.fsum(jlog[bp[l] - 1][a[l]] for l in range(m))
                 term_logs.append(eterm + jl - dlog)
-                term_signs.append(sign_pref * parity * dsgn)
+                term_signs.append(sign * dsgn)
 
         peak = max(term_logs)
         total = mp.fsum(s * mp.e ** (lm - peak) for s, lm in zip(term_signs, term_logs))
-        sum_x = mp.fsum(xs)
-        pref = (-mp.log(mp.factorial(m))
-                + mp.mpf(m) * (2 * L - m + 1) / 2 * mp.log(m)
-                + m * m * s2
-                - n * L * mp.log(mp.pi)
-                - (n - m) * (L - m) * mp.log(s2)
-                - mp.fsum(mp.log(mp.factorial(j)) for j in range(1, m)))
-        pref = pref - sum_x / s2
         if total == 0:
             return 0, -math.inf, float(peak + pref), math.inf
         log_mag = peak + mp.log(abs(total)) + pref
@@ -499,7 +489,51 @@ def _signal_mp(gvals: np.ndarray, L: int, m: int, sigma2: float, dps: int):
 
 
 # ---------------------------------------------------------------------------
-# Scalar evaluation with automatic escalation
+# Signal components and the ln C combine, shared by every batch size
+# ---------------------------------------------------------------------------
+
+def _component_rows(gvals: np.ndarray, L: int, ms, points, mimo_path: bool = False):
+    """ln P(Y | m sources, sigma2) for every (m, sigma2) pair, m-major.
+
+    gvals is a (B, N) stack of guarded descending spectra.  Each entry is the
+    (sign, log_mag, peak, digits) rows of _simo_batch, or of _mimo_batch for
+    m > 1 or when mimo_path is set.
+    """
+    return [_mimo_batch(gvals, L, m, float(p)) if m > 1 or mimo_path
+            else _simo_batch(gvals, L, float(p))
+            for m in ms for p in points]
+
+
+def _accepted(sign, log_mag, digits):
+    """Rows the double path may keep: sign +1, finite, and no more than
+    CANCEL_DIGITS_LIMIT digits cancelled."""
+    return (sign == 1) & (digits <= CANCEL_DIGITS_LIMIT) & np.isfinite(log_mag)
+
+
+def _log_mix(cols) -> np.ndarray:
+    """Row-wise ln sum exp over a list of (B,) log columns."""
+    return cols[0] if len(cols) == 1 else logsumexp(np.stack(cols, axis=1), axis=1)
+
+
+def _log_ratio_rows(comp_logs, gvals: np.ndarray, L: int, ms, bounded: bool,
+                    points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """ln C per row from the component log likelihoods of _component_rows.
+
+    Bounded count averages over m (uniform prior); gridded noise mixes both
+    numerator and denominator with the grid weights.
+    """
+    n = gvals.shape[1]
+    log_w = [math.log(w) for w in weights]
+    num = _log_mix([c + log_w[i % len(log_w)] for i, c in enumerate(comp_logs)])
+    gsum = gvals.sum(axis=1)
+    den = _log_mix([lw + _noise_ll_from_values(gsum, n, L, float(p))
+                    for p, lw in zip(points, log_w)])
+    extra = -math.log(len(ms)) if bounded else 0.0
+    return num + extra - den
+
+
+# ---------------------------------------------------------------------------
+# Scalar evaluation: the components at B=1, escalating the rejected ones
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -510,26 +544,13 @@ class _LLResult:
 
 
 def _signal_from_guarded(gvals: np.ndarray, L: int, m: int, sigma2: float,
-                         precision: str, mimo_path: bool) -> _LLResult:
-    if precision not in ("standard", "extended"):
-        raise DomainError(f"unknown precision mode {precision!r}")
-    digits_hint = math.inf
-    if precision == "standard":
-        batch = gvals[None, :]
-        if mimo_path:
-            sign, log_mag, peak, digits = (arr[0] for arr in _mimo_batch(batch, L, m, sigma2))
-        else:
-            sign, log_mag, peak, digits = (arr[0] for arr in _simo_batch(batch, L, sigma2))
-        if sign == 1 and digits <= CANCEL_DIGITS_LIMIT and math.isfinite(log_mag):
-            return _LLResult(SignedLog(1, float(log_mag)),
-                             CancellationReport(float(peak), float(log_mag), float(digits)),
-                             False)
-        digits_hint = float(digits)
+                         digits_hint: float) -> _LLResult:
+    """Multiprecision ln P(Y | m sources) for a component the double path rejected.
 
-    if math.isfinite(digits_hint):
-        dps = min(300, 40 + int(1.6 * digits_hint))
-    else:
-        dps = 60
+    digits_hint is the double path's cancellation (inf when it was not run)
+    and sizes the working precision.
+    """
+    dps = min(300, 40 + int(1.6 * digits_hint)) if math.isfinite(digits_hint) else 60
     for _ in range(2):
         sign, log_mag, peak, digits = _signal_mp(gvals, L, m, sigma2, dps)
         if sign == 1:
@@ -542,6 +563,31 @@ def _signal_from_guarded(gvals: np.ndarray, L: int, m: int, sigma2: float,
         f"(N={gvals.size}, L={L}, m={m}, sigma2={sigma2})")
 
 
+def _components_at_one(gvals: np.ndarray, L: int, ms, points, precision: str,
+                       mimo_path: bool = False) -> list:
+    """_component_rows for one guarded spectrum, as _LLResults.
+
+    Components that fail _accepted, and every component under
+    precision="extended", go through _signal_from_guarded.
+    """
+    if precision not in ("standard", "extended"):
+        raise DomainError(f"unknown precision mode {precision!r}")
+    rows = None
+    if precision == "standard":
+        rows = _component_rows(gvals[None, :], L, ms, points, mimo_path)
+    out = []
+    for i, (m, p) in enumerate(itertools.product(ms, points)):
+        digits = math.inf
+        if rows is not None:
+            sign, log_mag, peak, digits = (float(a[0]) for a in rows[i])
+            if _accepted(sign, log_mag, digits):
+                out.append(_LLResult(SignedLog(1, log_mag),
+                                     CancellationReport(peak, log_mag, digits), False))
+                continue
+        out.append(_signal_from_guarded(gvals, L, m, float(p), digits))
+    return out
+
+
 def _prepare_spectrum(x: EigenSpectrum, sigma2: float) -> tuple[np.ndarray, bool]:
     _check_sigma2(sigma2)
     _check_bayes_shape(x.n_sensors, x.n_snapshots)
@@ -552,8 +598,8 @@ def log_simo_signal_likelihood(x: EigenSpectrum, sigma2: float, *,
                                precision: str = "standard") -> SignedLog:
     """ln P(Y | one source, noise power sigma2) as a SignedLog (sign +1)."""
     gvals, _ = _prepare_spectrum(x, sigma2)
-    return _signal_from_guarded(gvals, x.n_snapshots, 1, float(sigma2),
-                                precision, mimo_path=False).value
+    return _components_at_one(gvals, x.n_snapshots, [1], [float(sigma2)],
+                              precision)[0].value
 
 
 def log_mimo_signal_likelihood(x: EigenSpectrum, m: int, sigma2: float, *,
@@ -565,8 +611,8 @@ def log_mimo_signal_likelihood(x: EigenSpectrum, m: int, sigma2: float, *,
     if m > x.n_sensors:
         raise DomainError(f"m={m} sources with N={x.n_sensors} sensors is unsupported (m <= N)")
     gvals, _ = _prepare_spectrum(x, sigma2)
-    return _signal_from_guarded(gvals, x.n_snapshots, m, float(sigma2),
-                                precision, mimo_path=True).value
+    return _components_at_one(gvals, x.n_snapshots, [m], [float(sigma2)],
+                              precision, mimo_path=True)[0].value
 
 
 # ---------------------------------------------------------------------------
@@ -591,44 +637,18 @@ def _expand_prior(prior: PriorConfig, n_sensors: int):
     return ms, bounded, points, weights
 
 
-def _worst_report(reports) -> CancellationReport:
-    worst = None
-    for r in reports:
-        if worst is None or r.cancellation_digits > worst.cancellation_digits:
-            worst = r
-    return worst if worst is not None else CancellationReport(-math.inf, -math.inf, 0.0)
-
-
 def _marginal_statistic(gvals: np.ndarray, L: int, ms, bounded: bool,
                         points: np.ndarray, weights: np.ndarray,
                         precision: str):
-    """Assemble ln C from guarded values for an expanded prior.
+    """ln C from guarded values for an expanded prior: the batch combine at B=1.
 
     Returns (SignedLog, worst CancellationReport, extended_used).
     """
-    n = gvals.size
-    gsum = float(np.sum(gvals))
-    num_terms = []
-    reports = []
-    extended = False
-    for m in ms:
-        for p, w in zip(points, weights):
-            r = _signal_from_guarded(gvals, L, m, float(p), precision,
-                                     mimo_path=(m > 1))
-            num_terms.append(r.value.scaled_by_log(math.log(w)))
-            reports.append(r.report)
-            extended = extended or r.extended_used
-    num, outer = signed_log_sum(num_terms)
-    reports.append(outer)
-    if num.sign != 1:
-        raise NumericError("marginalised signal likelihood is not positive")
-    den = logsumexp([
-        math.log(w) + _noise_ll_from_values(gsum, n, L, float(p))
-        for p, w in zip(points, weights)
-    ])
-    extra = -math.log(len(ms)) if bounded else 0.0
-    stat = SignedLog(1, num.log_magnitude + extra - float(den))
-    return stat, _worst_report(reports), extended
+    comps = _components_at_one(gvals, L, ms, points, precision)
+    stat = _log_ratio_rows([np.array([c.value.log_magnitude]) for c in comps],
+                           gvals[None, :], L, ms, bounded, points, weights)
+    worst = max((c.report for c in comps), key=lambda r: r.cancellation_digits)
+    return SignedLog(1, float(stat[0])), worst, any(c.extended_used for c in comps)
 
 
 def detection_log_ratio(x: EigenSpectrum, prior: PriorConfig, *,
@@ -650,10 +670,9 @@ def detection_log_ratio(x: EigenSpectrum, prior: PriorConfig, *,
 
 def energy_statistic(x: EigenSpectrum, sigma2: float) -> DetectionStatistic:
     """The classical energy detector: sum(x) / (L N sigma2), in log form."""
-    s2 = _check_sigma2(sigma2)
-    vals = x.sorted_descending()
-    value = float(np.sum(vals)) / (x.n_snapshots * x.n_sensors * s2)
-    stat = SignedLog.from_float(value)
+    log_value = float(_batch_energy_stats(x.sorted_descending()[None, :],
+                                          x.n_snapshots, sigma2)[0])
+    stat = SignedLog(1, log_value) if log_value > -math.inf else SignedLog.zero()
     report = CancellationReport(stat.log_magnitude, stat.log_magnitude, 0.0)
     return DetectionStatistic(stat, "energy", report)
 
@@ -678,17 +697,13 @@ def source_count_posteriors(x: EigenSpectrum, sigma2: float, m_max: int, *,
     s2 = _check_sigma2(sigma2)
     gvals, _ = _prepare_spectrum(x, s2)
     L = x.n_snapshots
-    gsum = float(np.sum(gvals))
 
-    counts = []
-    log_ev = []
+    counts = list(range(1, m_max + 1))
+    log_ev = [c.value.log_magnitude
+              for c in _components_at_one(gvals, L, counts, [s2], precision)]
     if include_noise_hypothesis:
-        counts.append(0)
-        log_ev.append(_noise_ll_from_values(gsum, x.n_sensors, L, s2))
-    for k in range(1, m_max + 1):
-        r = _signal_from_guarded(gvals, L, k, s2, precision, mimo_path=(k > 1))
-        counts.append(k)
-        log_ev.append(r.value.log_magnitude)
+        counts.insert(0, 0)
+        log_ev.insert(0, _noise_ll_from_values(float(np.sum(gvals)), x.n_sensors, L, s2))
 
     log_ev = np.array(log_ev)
     shifted = log_ev - log_ev.max()
@@ -725,30 +740,11 @@ def _batch_fast_stats(vals: np.ndarray, L: int, prior: PriorConfig):
     _check_bayes_shape(n, L)
     ms, bounded, points, weights = _expand_prior(prior, n)
     gvals, pert_mask = _guard_values_batch(vals)
-
-    comp_logs = []
+    rows = _component_rows(gvals, L, ms, points)
     bad = np.zeros(b, dtype=bool)
-    for m in ms:
-        for p, w in zip(points, weights):
-            if m == 1:
-                sign, log_mag, _, digits = _simo_batch(gvals, L, float(p))
-            else:
-                sign, log_mag, _, digits = _mimo_batch(gvals, L, m, float(p))
-            bad |= (sign != 1) | (digits > CANCEL_DIGITS_LIMIT) | ~np.isfinite(log_mag)
-            comp_logs.append(log_mag + math.log(w))
-
-    if len(comp_logs) == 1:
-        num_log = comp_logs[0]
-    else:
-        num_log = logsumexp(np.stack(comp_logs, axis=1), axis=1)
-    gsum = gvals.sum(axis=1)
-    den_cols = np.stack([
-        math.log(w) + (-n * L * math.log(math.pi * float(p)) - gsum / float(p))
-        for p, w in zip(points, weights)
-    ], axis=1)
-    den_log = logsumexp(den_cols, axis=1)
-    extra = -math.log(len(ms)) if bounded else 0.0
-    stats = num_log + extra - den_log
+    for sign, log_mag, _, digits in rows:
+        bad |= ~_accepted(sign, log_mag, digits)
+    stats = _log_ratio_rows([r[1] for r in rows], gvals, L, ms, bounded, points, weights)
     return stats, bad, int(pert_mask.sum())
 
 
@@ -772,21 +768,3 @@ def _retry_rows_scalar(vals: np.ndarray, L: int, prior: PriorConfig,
             stats[i] = np.nan
             failed[j] = True
     return failed, n_extended
-
-
-def _batch_detection_stats(vals: np.ndarray, L: int, prior: PriorConfig,
-                           precision: str = "standard"):
-    """ln C for a (B, N) stack of descending spectra.
-
-    Returns (stats, failed, n_extended, n_perturbed); rows that could not be
-    evaluated even in the scalar fallback are NaN with failed=True.
-    """
-    stats, bad, n_perturbed = _batch_fast_stats(vals, L, prior)
-    failed = np.zeros(vals.shape[0], dtype=bool)
-    n_extended = 0
-    if bad.any():
-        rows = np.nonzero(bad)[0]
-        row_failed, n_extended = _retry_rows_scalar(vals, L, prior, stats, rows,
-                                                    precision)
-        failed[rows] = row_failed
-    return stats, failed, n_extended, n_perturbed

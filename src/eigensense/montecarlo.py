@@ -17,7 +17,6 @@ from scipy import integrate
 
 from .detectors import (
     PriorConfig,
-    _batch_detection_stats,
     _batch_energy_stats,
     _batch_fast_stats,
     _retry_rows_scalar,
@@ -161,33 +160,25 @@ def _synthesize_block(s: Scenario, hyp_code: int, start: int, count: int) -> np.
 # ---------------------------------------------------------------------------
 
 def _gaussian_loglikes(w_mat: np.ndarray, n_snapshots: int, sigma2: float,
-                       h_block: np.ndarray, use_rank1: bool) -> np.ndarray:
+                       h_block: np.ndarray) -> np.ndarray:
     """ln of the conditional density of Y given each channel draw.
 
     Given C = H H^H + sigma2 I, this is
     -N L ln(pi) - L ln det(C) - tr(Y Y^H C^-1), evaluated for a (B, N, m)
-    stack of channels.  use_rank1 switches on the closed rank-one update,
-    valid only for m = 1; the general path eigendecomposes C.
+    stack of channels through the m x m matrix G = sigma2 I + H^H H:
+    ln det(C) = (N - m) ln sigma2 + ln det(G) (determinant lemma) and
+    tr(W C^-1) = (tr W - tr(G^-1 H^H W H)) / sigma2 (Woodbury identity).
     """
     b, n, m = h_block.shape
     L = n_snapshots
-    base = -n * L * math.log(math.pi)
-    if use_rank1:
-        if m != 1:
-            raise DomainError("rank-one path requires m == 1")
-        h = h_block[:, :, 0]
-        norm2 = np.einsum("bi,bi->b", h.conj(), h).real
-        logdet = np.log(norm2 + sigma2) + (n - 1) * math.log(sigma2)
-        wh = np.einsum("bi,ij,bj->b", h.conj(), w_mat, h).real
-        trace_term = np.trace(w_mat).real / sigma2 - wh / (sigma2 * (sigma2 + norm2))
-        return base - L * logdet - trace_term
-    cov = h_block @ h_block.conj().transpose(0, 2, 1)
-    cov[:, np.arange(n), np.arange(n)] += sigma2
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    logdet = np.log(eigvals).sum(axis=1)
-    quad = np.einsum("bji,jk,bki->bi", eigvecs.conj(), w_mat, eigvecs).real
-    trace_term = (quad / eigvals).sum(axis=1)
-    return base - L * logdet - trace_term
+    hh = h_block.conj().transpose(0, 2, 1)
+    gram = hh @ h_block
+    gram[:, np.arange(m), np.arange(m)] += sigma2
+    _, logdet_g = np.linalg.slogdet(gram)
+    logdet = logdet_g + (n - m) * math.log(sigma2)
+    reduced = np.trace(np.linalg.solve(gram, hh @ (w_mat @ h_block)), axis1=1, axis2=2).real
+    trace_term = (np.trace(w_mat).real - reduced) / sigma2
+    return -n * L * math.log(math.pi) - L * logdet - trace_term
 
 
 def mc_signal_likelihood_oracle(y: SampleMatrix, m: int, sigma2: float,
@@ -221,8 +212,7 @@ def mc_signal_likelihood_oracle(y: SampleMatrix, m: int, sigma2: float,
         gen = np.random.Generator(
             np.random.Philox(key=int(seed), counter=[0, c, 0, _ORACLE_HYP_CODE]))
         h_block = _complex_normal(gen, (count, n, m)) / math.sqrt(m)
-        lls[start:start + count] = _gaussian_loglikes(w_mat, L, float(sigma2),
-                                                      h_block, use_rank1=(m == 1))
+        lls[start:start + count] = _gaussian_loglikes(w_mat, L, float(sigma2), h_block)
 
     peak = lls.max()
     scaled = np.exp(lls - peak)

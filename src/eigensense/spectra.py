@@ -7,7 +7,7 @@ it with gram_eigenvalues, and hand the EigenSpectrum to the detectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,36 +76,26 @@ class EigenSpectrum:
         return np.sort(self.values)[::-1].copy()
 
 
-def _clamp_spectrum(raw: np.ndarray) -> np.ndarray:
-    """Descending-sort raw eigenvalues, clamping solver round-off at zero."""
-    vals = np.sort(raw)[::-1].copy()
-    top = vals[0] if vals.size else 0.0
-    floor = -_CLAMP_REL * max(top, 1.0)
-    if np.any(vals < floor):
-        raise NumericError(
-            f"eigen-solver returned a negative eigenvalue {vals.min():.3e} "
-            f"below the round-off band {floor:.3e}")
-    np.clip(vals, 0.0, None, out=vals)
-    return vals
-
-
 def gram_eigenvalues(y: SampleMatrix) -> EigenSpectrum:
     """Eigenvalues of Y Y^H, sorted descending, as an EigenSpectrum."""
-    gram = y.entries @ y.entries.conj().T
-    raw = np.linalg.eigvalsh(gram)
-    return EigenSpectrum(_clamp_spectrum(raw), y.n_snapshots)
+    return EigenSpectrum(_gram_eigenvalues_batch(y.entries[None])[0], y.n_snapshots)
+
+
+def _clamp_spectra_batch(raw: np.ndarray) -> np.ndarray:
+    """Descending-sort (B, N) ascending solver output, clamping round-off at zero."""
+    vals = raw[:, ::-1].copy()
+    floor = -_CLAMP_REL * np.maximum(vals[:, 0], 1.0)
+    low = vals < floor[:, None]
+    if np.any(low):
+        b, i = np.argwhere(low)[0]
+        raise NumericError(
+            f"eigen-solver returned a negative eigenvalue {vals[b, i]:.3e} "
+            f"below the round-off band {floor[b]:.3e}")
+    np.clip(vals, 0.0, None, out=vals)
+    return vals
 
 
 def _gram_eigenvalues_batch(blocks: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues for a (B, N, L) stack; returns (B, N).
-
-    Same clamp policy as gram_eigenvalues, applied per row.
-    """
+    """Descending eigenvalues for a (B, N, L) stack; returns (B, N)."""
     gram = blocks @ blocks.conj().transpose(0, 2, 1)
-    raw = np.linalg.eigvalsh(gram)          # ascending per row
-    vals = raw[:, ::-1].copy()
-    top = np.maximum(vals[:, 0], 1.0)
-    if np.any(vals < -_CLAMP_REL * top[:, None]):
-        raise NumericError("eigen-solver returned eigenvalues below the round-off band")
-    np.clip(vals, 0.0, None, out=vals)
-    return vals
+    return _clamp_spectra_batch(np.linalg.eigvalsh(gram))

@@ -1,0 +1,59 @@
+"""The benchmark's span tracer still finds every library function it wraps.
+
+perfbench/spans.py wraps private functions by name and reads their argument
+positions and return shapes, so a rename or signature change in the package
+breaks the traced benchmark run.  This catches that in seconds.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+import eigensense as es
+from eigensense import montecarlo as mc
+
+_SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", _SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_instrument_resolves_every_name_and_uninstall_restores_it():
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    spans.instrument(tracer, es)            # AttributeError if a wrapped name is gone
+    patches = list(tracer._patches)
+    try:
+        assert patches
+        for module, name, original in patches:
+            assert callable(original), name
+            assert getattr(module, name) is not original, name
+
+        # One call through each wrapped path, so every counter reads the
+        # argument positions and return shapes it expects.
+        s = es.Scenario(3, 6, 1, 0.0, 8, 1)
+        prior = es.PriorConfig(es.BoundedCount(2), es.ExactNoise(1.0))
+        es.run_roc(s, es.BayesDetector(prior))
+        y = es.synthesize_observation(s, "H1", 0)
+        x = es.gram_eigenvalues(y)
+        es.detection_log_ratio(x, es.PriorConfig(es.ExactCount(1), es.ExactNoise(1.0)),
+                               precision="extended")
+        stats = np.zeros(1)
+        mc._retry_rows_scalar(x.values[None, :], 6, prior, stats, [0])
+        es.mc_signal_likelihood_oracle(y, 1, 1.0, 1000, 1)
+        es.j_via_bessel(0, 1.0, 1.0)
+        metrics = spans.layer_metrics(tracer, [], 0.0, 0.0)
+    finally:
+        tracer.uninstall()
+    for module, name, original in patches:
+        assert getattr(module, name) is original, name
+    assert metrics["synthesis.trials"] == 16
+    assert metrics["escalation.mp_calls"] >= 1
+    assert metrics["escalation.rows"] >= 2
+    assert metrics["oracle.mc_draws"] == 1000
+    assert metrics["bessel.calls"] == 1

@@ -29,7 +29,14 @@ from eigensense import (
     log_simo_signal_likelihood,
     source_count_posteriors,
 )
-from eigensense.detectors import _marginal_statistic, _guard_values
+from eigensense.detectors import (
+    _batch_energy_stats,
+    _batch_fast_stats,
+    _guard_values,
+    _guard_values_batch,
+    _marginal_statistic,
+)
+from eigensense.spectra import _gram_eigenvalues_batch
 
 
 def _mp_j(k, x, y, dps=50):
@@ -286,6 +293,11 @@ class TestDetectionRatio:
         assert np.all(out2 >= 0)
         out3, _ = _guard_values(tight)
         assert np.array_equal(out2, out3)
+        # The scalar guard is the batch guard's row.
+        for v in (vals, tight, np.array([0.0, 0.0]), np.array([3.0])):
+            out, flagged = _guard_values(v)
+            rows, mask = _guard_values_batch(v[None, :])
+            assert np.array_equal(out, rows[0]) and flagged == mask[0]
 
     def test_prior_count_exceeding_sensors_rejected(self):
         x = EigenSpectrum([3.0, 1.0], 6)
@@ -417,3 +429,41 @@ class TestPriorValidation:
             PriorConfig(1, ExactNoise(1.0))
         with pytest.raises(DomainError):
             PriorConfig(ExactCount(1), 1.0)
+
+
+class TestScalarIsBatchRow:
+    """The scalar statistics are the batch kernels at B=1, bit for bit."""
+
+    @staticmethod
+    def _spectra(n, L, count, seed):
+        # Gram eigenvalues of one-source blocks at random signal-to-noise ratios.
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((2, count, n, L)) + 1j * rng.standard_normal((2, count, n, L))
+        h = rng.standard_normal((count, n, 1)) + 1j * rng.standard_normal((count, n, 1))
+        scale = 10.0 ** rng.uniform(-0.6, 0.6, size=(count, 1, 1))
+        return _gram_eigenvalues_batch(z[0] + scale * h * z[1][:, :1, :])
+
+    @pytest.mark.parametrize("n, L, n_bounded4", [(4, 8, 4), (6, 9, 2)])
+    def test_detection_log_ratio_equals_batch_row(self, n, L, n_bounded4):
+        # Each spectrum is its own batch: the J kernel reduces its quadrature
+        # panels with a BLAS matrix-vector product, whose last bit can depend
+        # on a row's position in a larger batch.
+        grid = NoiseGrid(-5.0, 5.0, 11, "db")
+        priors = [(ExactCount(1), ExactNoise(1.3), 60), (ExactCount(2), ExactNoise(1.3), 60),
+                  (ExactCount(1), grid, 40), (BoundedCount(2), grid, 40),
+                  (BoundedCount(4), grid, n_bounded4)]
+        for count, noise, n_rows in priors:
+            prior = PriorConfig(count, noise)
+            for row in self._spectra(n, L, n_rows, seed=n):
+                stats, bad, _ = _batch_fast_stats(row[None, :], L, prior)
+                if not bad[0]:
+                    got = detection_log_ratio(EigenSpectrum(row, L), prior)
+                    assert got.log_ratio.log_magnitude == stats[0], (prior, row)
+
+    @pytest.mark.parametrize("n, L", [(4, 8), (6, 9)])
+    def test_energy_statistic_equals_batch_row(self, n, L):
+        vals = self._spectra(n, L, 1024, seed=L)
+        stats = _batch_energy_stats(vals, L, 0.5)
+        got = [energy_statistic(EigenSpectrum(v, L), 0.5).log_ratio.log_magnitude
+               for v in vals]
+        assert np.array_equal(got, stats)

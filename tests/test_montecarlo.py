@@ -109,21 +109,22 @@ class TestSynthesis:
 
 
 class TestGaussianLoglikes:
-    def test_rank1_matches_eig_path(self):
+    def test_matches_eigh_reference(self):
+        # Reference: eigendecompose the full N x N covariance C = H H^H + sigma2 I.
         rng = np.random.default_rng(17)
-        n, L, b = 4, 7, 50
+        n, L, b, sigma2 = 4, 7, 50, 0.7
         y = rng.standard_normal((n, L)) + 1j * rng.standard_normal((n, L))
         w = y @ y.conj().T
-        h = (rng.standard_normal((b, n, 1)) + 1j * rng.standard_normal((b, n, 1))) / np.sqrt(2)
-        fast = _gaussian_loglikes(w, L, 0.7, h, use_rank1=True)
-        general = _gaussian_loglikes(w, L, 0.7, h, use_rank1=False)
-        assert fast == pytest.approx(general, rel=1e-11)
-
-    def test_rank1_requires_single_column(self):
-        w = np.eye(2, dtype=complex)
-        h = np.zeros((3, 2, 2), dtype=complex)
-        with pytest.raises(DomainError):
-            _gaussian_loglikes(w, 4, 1.0, h, use_rank1=True)
+        for m in (1, 2, 3):
+            h = (rng.standard_normal((b, n, m))
+                 + 1j * rng.standard_normal((b, n, m))) / np.sqrt(2 * m)
+            cov = h @ h.conj().transpose(0, 2, 1) + sigma2 * np.eye(n)
+            eigvals, eigvecs = np.linalg.eigh(cov)
+            quad = np.einsum("bji,jk,bki->bi", eigvecs.conj(), w, eigvecs).real
+            ref = (-n * L * math.log(math.pi) - L * np.log(eigvals).sum(axis=1)
+                   - (quad / eigvals).sum(axis=1))
+            got = _gaussian_loglikes(w, L, sigma2, h)
+            assert got == pytest.approx(ref, rel=1e-11), m
 
 
 class TestMcOracle:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eigensense import InputError, NumericError, SampleMatrix, EigenSpectrum, gram_eigenvalues
-from eigensense.spectra import _clamp_spectrum, _gram_eigenvalues_batch
+from eigensense.spectra import _clamp_spectra_batch, _gram_eigenvalues_batch
 
 
 class TestSampleMatrix:
@@ -107,13 +107,14 @@ class TestGramEigenvalues:
         assert spec.values[1] <= 1e-12 * spec.values[0]
         assert spec.values[2] <= 1e-12 * spec.values[0]
 
+    # Clamp rows are ascending, as eigvalsh returns them.
     def test_clamp_rejects_large_negative(self):
-        with pytest.raises(NumericError):
-            _clamp_spectrum(np.array([-1.0, 5.0]))
+        with pytest.raises(NumericError, match="-1.000e\\+00"):
+            _clamp_spectra_batch(np.array([[-1.0, 5.0]]))
 
     def test_clamp_accepts_roundoff_negative(self):
-        out = _clamp_spectrum(np.array([5.0, -1e-13]))
-        assert list(out) == [5.0, 0.0]
+        out = _clamp_spectra_batch(np.array([[-1e-13, 5.0]]))
+        assert out.tolist() == [[5.0, 0.0]]
 
 
 class TestBatchReduction:
