@@ -4,6 +4,11 @@ Trial data is generated from counter-based Philox streams keyed on
 (seed; hypothesis, trial index, role), so any trial can be regenerated in
 isolation and batched generation is bit-identical to one-at-a-time
 generation regardless of chunking or thread count.
+
+Each synthesis block builds one Philox generator and re-points it at every
+stream's counter in turn (building a generator costs about ten times as
+much as re-pointing one); the bits are those of a fresh generator per
+stream.  No generator is shared between threads.
 """
 
 from __future__ import annotations
@@ -106,31 +111,46 @@ class EnergyDetector:
 
 
 def _stream(seed: int, hyp_code: int, trial: int, role: int) -> np.random.Generator:
+    """A Philox generator keyed on seed at counter [0, trial, role, hyp_code].
+
+    The only place a Philox is built; _repointer re-aims one at other counters.
+    """
     return np.random.Generator(
         np.random.Philox(key=seed, counter=[0, trial, role, hyp_code]))
 
 
+def _repointer(gen: np.random.Generator):
+    """point(hyp_code, trial, role): aim gen at counter [0, trial, role, hyp_code].
+
+    point assigns the bit generator's state: gen's key, an empty buffer
+    (buffer_pos 4) and has_uint32 0, which is what a fresh _stream at that
+    counter holds, so the bits that follow are the same.  It returns gen.
+    """
+    state = gen.bit_generator.state
+    state.update(buffer_pos=4, has_uint32=0, uinteger=0)
+
+    def point(hyp_code: int, trial: int, role: int) -> np.random.Generator:
+        state["state"]["counter"] = (0, trial, role, hyp_code)
+        gen.bit_generator.state = state
+        return gen
+
+    return point
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Unit-power circular complex normals from two standard normal arrays."""
+    return (re + 1j * im) / np.sqrt(2.0)
+
+
 def _complex_normal(gen: np.random.Generator, shape) -> np.ndarray:
     z = gen.standard_normal(size=(2,) + tuple(shape))
-    return (z[0] + 1j * z[1]) / np.sqrt(2.0)
+    return _complex(z[0], z[1])
 
 
 def _check_hypothesis(hypothesis: str) -> int:
     if hypothesis not in _HYP_CODES:
         raise InputError(f"hypothesis must be 'H0' or 'H1', got {hypothesis!r}")
     return _HYP_CODES[hypothesis]
-
-
-def _synthesize_entries(s: Scenario, hyp_code: int, trial: int) -> np.ndarray:
-    n, L, m = s.n_sensors, s.n_snapshots, s.n_sources
-    sigma = math.sqrt(s.sigma2)
-    theta = _complex_normal(_stream(s.seed, hyp_code, trial, _ROLE_NOISE), (n, L))
-    if hyp_code == 0:
-        return sigma * theta
-    h = _complex_normal(_stream(s.seed, hyp_code, trial, _ROLE_CHANNEL), (n, m))
-    h = h / math.sqrt(m)
-    symbols = _complex_normal(_stream(s.seed, hyp_code, trial, _ROLE_SYMBOLS), (m, L))
-    return h @ symbols + sigma * theta
 
 
 def synthesize_observation(s: Scenario, hypothesis: str, trial_index: int) -> SampleMatrix:
@@ -145,14 +165,31 @@ def synthesize_observation(s: Scenario, hypothesis: str, trial_index: int) -> Sa
     if not 0 <= trial_index < s.n_trials:
         raise InputError(
             f"trial_index {trial_index} outside [0, {s.n_trials}) for this scenario")
-    return SampleMatrix(_synthesize_entries(s, code, trial_index))
+    return SampleMatrix(_synthesize_block(s, code, trial_index, 1)[0])
 
 
 def _synthesize_block(s: Scenario, hyp_code: int, start: int, count: int) -> np.ndarray:
-    out = np.empty((count, s.n_sensors, s.n_snapshots), dtype=complex)
+    """Observations of trials start, ..., start + count - 1 under one hypothesis.
+
+    Each trial's noise, channel and symbol normals come from their own
+    stream and land in block arrays; the arithmetic then runs once over the
+    block, element by element, with one small matrix product per trial, so
+    a trial's bits do not depend on the block it is drawn in.
+    """
+    n, L, m = s.n_sensors, s.n_snapshots, s.n_sources
+    shapes = {_ROLE_NOISE: (n, L)}
+    if hyp_code:
+        shapes.update({_ROLE_CHANNEL: (n, m), _ROLE_SYMBOLS: (m, L)})
+    draws = {role: np.empty((count, 2) + shape) for role, shape in shapes.items()}
+    point = _repointer(_stream(s.seed, hyp_code, start, _ROLE_NOISE))
     for i in range(count):
-        out[i] = _synthesize_entries(s, hyp_code, start + i)
-    return out
+        for role, z in draws.items():
+            point(hyp_code, start + i, role).standard_normal(out=z[i])
+    c = {role: _complex(z[:, 0], z[:, 1]) for role, z in draws.items()}
+    noise = math.sqrt(s.sigma2) * c[_ROLE_NOISE]
+    if hyp_code == 0:
+        return noise
+    return (c[_ROLE_CHANNEL] / math.sqrt(m)) @ c[_ROLE_SYMBOLS] + noise
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +243,11 @@ def mc_signal_likelihood_oracle(y: SampleMatrix, m: int, sigma2: float,
     w_mat = y.entries @ y.entries.conj().T
     lls = np.empty(n_samples)
     n_chunks = (n_samples + _ORACLE_CHUNK - 1) // _ORACLE_CHUNK
+    point = _repointer(_stream(int(seed), _ORACLE_HYP_CODE, 0, 0))
     for c in range(n_chunks):
         start = c * _ORACLE_CHUNK
         count = min(_ORACLE_CHUNK, n_samples - start)
-        gen = np.random.Generator(
-            np.random.Philox(key=int(seed), counter=[0, c, 0, _ORACLE_HYP_CODE]))
-        h_block = _complex_normal(gen, (count, n, m)) / math.sqrt(m)
+        h_block = _complex_normal(point(_ORACLE_HYP_CODE, c, 0), (count, n, m)) / math.sqrt(m)
         lls[start:start + count] = _gaussian_loglikes(w_mat, L, float(sigma2), h_block)
 
     peak = lls.max()

@@ -52,7 +52,12 @@ def test_instrument_resolves_every_name_and_uninstall_restores_it():
         tracer.uninstall()
     for module, name, original in patches:
         assert getattr(module, name) is original, name
-    assert metrics["synthesis.trials"] == 16
+    # run_roc draws two 8-trial blocks; synthesize_observation is a 1-trial block.
+    blocks = [s for s in tracer.spans if s.name == "_synthesize_block"]
+    assert len(blocks) == 3
+    assert metrics["synthesis.trials"] == 17
+    # One Philox generator per block, however many streams it serves.
+    assert metrics["synthesis.streams"] == len(blocks)
     assert metrics["escalation.mp_calls"] >= 1
     assert metrics["escalation.rows"] >= 2
     assert metrics["oracle.mc_draws"] == 1000

@@ -108,6 +108,63 @@ class TestSynthesis:
             assert abs(mean - (s.sigma2 + 1.0)) < 4 * se
 
 
+def _fresh_stream(seed, trial, role, hyp):
+    return np.random.Generator(np.random.Philox(key=seed, counter=[0, trial, role, hyp]))
+
+
+def _fresh_normals(gen, shape):
+    z = gen.standard_normal(size=(2,) + shape)
+    return (z[0] + 1j * z[1]) / np.sqrt(2.0)
+
+
+def _reference_observation(s, hyp, trial):
+    """One trial built the way the streams are defined: a fresh Philox per
+    (trial, role, hypothesis) counter, roles 0/1/2 = noise/channel/symbols."""
+    n, L, m = s.n_sensors, s.n_snapshots, s.n_sources
+    noise = math.sqrt(s.sigma2) * _fresh_normals(_fresh_stream(s.seed, trial, 0, hyp), (n, L))
+    if hyp == 0:
+        return noise
+    h = _fresh_normals(_fresh_stream(s.seed, trial, 1, hyp), (n, m)) / math.sqrt(m)
+    return h @ _fresh_normals(_fresh_stream(s.seed, trial, 2, hyp), (m, L)) + noise
+
+
+class TestStreamReference:
+    """Synthesis and the MC oracle against generators built afresh in the test.
+
+    The library re-points one generator per block; these pin its bits to the
+    stream definition rather than to the library itself.
+    """
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("hyp", [0, 1])
+    def test_block_and_scalar_match_fresh_streams(self, hyp, m):
+        s = Scenario(3, 5, m, -2.0, 2200, 77)
+        start, count = 37, 2100          # more trials than one ROC chunk
+        block = _synthesize_block(s, hyp, start, count)
+        assert block.shape == (count, 3, 5)
+        for i in range(count):
+            assert block[i].tobytes() == _reference_observation(s, hyp, start + i).tobytes()
+        label = "H1" if hyp else "H0"
+        for trial in (0, 38, s.n_trials - 1):
+            ref = _reference_observation(s, hyp, trial).tobytes()
+            assert _synthesize_block(s, hyp, trial, 1)[0].tobytes() == ref
+            assert synthesize_observation(s, label, trial).entries.tobytes() == ref
+
+    def test_mc_oracle_matches_fresh_chunk_streams(self):
+        y = synthesize_observation(Scenario(3, 5, 1, 0.0, 4, 11), "H1", 1)
+        n_samples, seed = mc._ORACLE_CHUNK + 3000, 21     # two chunks
+        w_mat = y.entries @ y.entries.conj().T
+        lls = []
+        for c, count in enumerate((mc._ORACLE_CHUNK, 3000)):
+            h = _fresh_normals(_fresh_stream(seed, c, 0, mc._ORACLE_HYP_CODE), (count, 3, 1))
+            lls.append(_gaussian_loglikes(w_mat, 5, 1.0, h))
+        lls = np.concatenate(lls)
+        scaled = np.exp(lls - lls.max())
+        est, se = mc_signal_likelihood_oracle(y, 1, 1.0, n_samples, seed)
+        assert est.log_magnitude == lls.max() + math.log(scaled.mean())
+        assert se == scaled.std(ddof=1) / (scaled.mean() * math.sqrt(n_samples))
+
+
 class TestGaussianLoglikes:
     def test_matches_eigh_reference(self):
         # Reference: eigendecompose the full N x N covariance C = H H^H + sigma2 I.
