@@ -293,8 +293,10 @@ def _log_j_batch(k: float, x: float, y: np.ndarray,
         u_nodes = mid[:, None] + half[:, None] * _GK_NODES[None, :]
         g_vals = _g_log_integrand(u_nodes, kp1, y[owner][:, None])
         f_vals = np.exp(g_vals - gmax[owner][:, None])
-        i_k = half * (f_vals @ _GK_WK)
-        i_g = half * (f_vals[:, _GK_GIDX] @ _GK_WG)
+        # Row-local sums: a BLAS matrix-vector product rounds a row
+        # differently depending on its position in the matrix.
+        i_k = half * np.einsum("ij,j->i", f_vals, _GK_WK)
+        i_g = half * np.einsum("ij,j->i", f_vals[:, _GK_GIDX], _GK_WG)
         err = np.abs(i_k - i_g)
 
         totals = acc + np.bincount(owner, weights=i_k, minlength=n)
