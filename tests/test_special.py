@@ -149,9 +149,7 @@ class TestJIntegral:
         assert np.array_equal(whole, parts)
 
     def test_each_row_alone_matches_the_batch(self):
-        # A row's panels must be summed the same wherever the row sits: a
-        # BLAS matrix-vector product over the panels rounded some rows of a
-        # 257-row batch differently from the same rows computed alone.
+        # Every split position at once: each y alone against the whole batch.
         ys = np.random.default_rng(5).uniform(0.0, 20.0, 257)
         whole = _log_j_batch(-4, 1.3, ys)
         alone = np.array([_log_j_batch(-4, 1.3, ys[i:i + 1])[0] for i in range(ys.size)])
