@@ -147,6 +147,18 @@ def _emit(text: str, output) -> None:
         print(text)
 
 
+def _report(args, body: dict, csv_lines) -> int:
+    """Write a subcommand's report: csv_lines as CSV, or body as JSON under
+    the tool/version/command envelope."""
+    if args.format == "csv":
+        _emit("\n".join(csv_lines), args.output)
+    else:
+        report = {"tool": "eigensense", "version": __version__,
+                  "command": args.command, **body}
+        _emit(json.dumps(report, indent=2), args.output)
+    return 0
+
+
 def _load_spectrum(path):
     obs = read_observation(path)
     if isinstance(obs, SampleMatrix):
@@ -191,28 +203,20 @@ def _cmd_detect(args) -> int:
         "extended_used": stat.extended_used,
         "perturbed_spectrum": stat.perturbed,
     }
-    if args.format == "csv":
-        header = ",".join(result.keys())
-        row = ",".join(str(v) for v in result.values())
-        _emit(f"{header}\n{row}", args.output)
-    else:
-        report = {
-            "tool": "eigensense",
-            "version": __version__,
-            "command": "detect",
-            "input": args.input,
-            "config": {
-                "n_sensors": spectrum.n_sensors,
-                "n_snapshots": spectrum.n_snapshots,
-                "source_count": repr(prior.source_count),
-                "noise": repr(prior.noise),
-                "log10_threshold": log_thr / _LN10,
-                "precision": args.precision,
-            },
-            "result": result,
-        }
-        _emit(json.dumps(report, indent=2), args.output)
-    return 0
+    body = {
+        "input": args.input,
+        "config": {
+            "n_sensors": spectrum.n_sensors,
+            "n_snapshots": spectrum.n_snapshots,
+            "source_count": repr(prior.source_count),
+            "noise": repr(prior.noise),
+            "log10_threshold": log_thr / _LN10,
+            "precision": args.precision,
+        },
+        "result": result,
+    }
+    return _report(args, body, [",".join(result.keys()),
+                                ",".join(str(v) for v in result.values())])
 
 
 def _cmd_roc(args) -> int:
@@ -294,31 +298,23 @@ def _cmd_table(args) -> int:
     max_j = max(r["rel_deviation"] for r in j_rows)
     max_lemma = max(r["rel_residual"] for r in lemma_rows)
 
-    if args.format == "csv":
-        lines = ["k,x,y,log_j_quadrature,j_via_bessel,rel_deviation"]
-        for r in j_rows:
-            lines.append(f"{r['k']},{r['x']:.17g},{r['y']:.17g},"
-                         f"{r['log_j_quadrature']:.17g},{r['j_via_bessel']:.17g},"
-                         f"{r['rel_deviation']:.3e}")
-        lines.append("")
-        lines.append("n,draw,b,determinant,closed_form,rel_residual")
-        for r in lemma_rows:
-            lines.append(f"{r['n']},{r['draw']},{r['b']:.17g},"
-                         f"{r['determinant']:.17g},{r['closed_form']:.17g},"
-                         f"{r['rel_residual']:.3e}")
-        _emit("\n".join(lines), args.output)
-    else:
-        report = {
-            "tool": "eigensense",
-            "version": __version__,
-            "command": "table",
-            "max_j_rel_deviation": max_j,
-            "max_lemma_rel_residual": max_lemma,
-            "j_table": j_rows,
-            "lemma_table": lemma_rows,
-        }
-        _emit(json.dumps(report, indent=2), args.output)
-    return 0
+    lines = ["k,x,y,log_j_quadrature,j_via_bessel,rel_deviation"]
+    for r in j_rows:
+        lines.append(f"{r['k']},{r['x']:.17g},{r['y']:.17g},"
+                     f"{r['log_j_quadrature']:.17g},{r['j_via_bessel']:.17g},"
+                     f"{r['rel_deviation']:.3e}")
+    lines += ["", "n,draw,b,determinant,closed_form,rel_residual"]
+    for r in lemma_rows:
+        lines.append(f"{r['n']},{r['draw']},{r['b']:.17g},"
+                     f"{r['determinant']:.17g},{r['closed_form']:.17g},"
+                     f"{r['rel_residual']:.3e}")
+    body = {
+        "max_j_rel_deviation": max_j,
+        "max_lemma_rel_residual": max_lemma,
+        "j_table": j_rows,
+        "lemma_table": lemma_rows,
+    }
+    return _report(args, body, lines)
 
 
 def _cmd_count(args) -> int:
@@ -327,30 +323,24 @@ def _cmd_count(args) -> int:
         spectrum, args.sigma2, args.m_max,
         include_noise_hypothesis=args.include_noise,
         precision=args.precision)
-    if args.format == "csv":
-        lines = ["count,probability,ratio"]
-        for k, p, r in zip(posterior.counts, posterior.probabilities, posterior.ratios):
-            lines.append(f"{k},{p:.17g},{r:.17g}")
-        _emit("\n".join(lines), args.output)
-    else:
-        report = {
-            "tool": "eigensense",
-            "version": __version__,
-            "command": "count",
-            "input": args.input,
-            "config": {
-                "sigma2": args.sigma2,
-                "m_max": args.m_max,
-                "include_noise_hypothesis": args.include_noise,
-                "precision": args.precision,
-            },
-            "counts": list(posterior.counts),
-            "probabilities": list(posterior.probabilities),
-            "ratios": list(posterior.ratios),
-            "argmax_count": posterior.argmax_count(),
-        }
-        _emit(json.dumps(report, indent=2), args.output)
-    return 0
+    lines = ["count,probability,ratio"]
+    for k, p, r in zip(posterior.counts, posterior.probabilities, posterior.ratios):
+        lines.append(f"{k},{p:.17g},{r:.17g}")
+    body = {
+        "input": args.input,
+        "config": {
+            "sigma2": args.sigma2,
+            "m_max": args.m_max,
+            "include_noise_hypothesis": args.include_noise,
+            "precision": args.precision,
+        },
+        "counts": list(posterior.counts),
+        "probabilities": list(posterior.probabilities),
+        # Strict JSON has no infinity: overflowing odds are written as null.
+        "ratios": [r if math.isfinite(r) else None for r in posterior.ratios],
+        "argmax_count": posterior.argmax_count(),
+    }
+    return _report(args, body, lines)
 
 
 def main(argv=None) -> int:
@@ -364,13 +354,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.handler(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -37,6 +37,7 @@ from .special import (
     SignedLog,
     _log_j_batch,
     _log_j_segment_mp,
+    _signed_lse_rows,
 )
 from .spectra import EigenSpectrum
 
@@ -209,7 +210,11 @@ class DetectionStatistic:
 
 @dataclass(frozen=True)
 class CountPosterior:
-    """Posterior over the number of sources k, under a uniform prior."""
+    """Posterior over the number of sources k, under a uniform prior.
+
+    ratios[i] is the posterior odds p_i / (1 - p_i); it is inf when the other
+    hypotheses are too unlikely for the odds to fit in a double.
+    """
 
     counts: tuple
     probabilities: tuple
@@ -289,41 +294,6 @@ def log_noise_likelihood(x: EigenSpectrum, sigma2: float) -> float:
     s2 = _check_sigma2(sigma2)
     vals = x.sorted_descending()
     return _noise_ll_from_values(float(np.sum(vals)), x.n_sensors, x.n_snapshots, s2)
-
-
-# ---------------------------------------------------------------------------
-# Signed row-wise log-sum-exp (the batch twin of signed_log_sum)
-# ---------------------------------------------------------------------------
-
-def _signed_lse_rows(signs: np.ndarray, logmags: np.ndarray):
-    """Row sums of sign*exp(logmag) terms in canonical order.
-
-    Returns (sign, log_magnitude, peak_term_log, cancellation_digits), each
-    of shape (B,).  Rows whose terms are all zero sum to sign 0.
-    """
-    order = np.lexsort((signs, -logmags), axis=-1)
-    sm = np.take_along_axis(signs, order, axis=-1)
-    lm = np.take_along_axis(logmags, order, axis=-1)
-    peak = lm[:, 0].copy()
-    finite_peak = np.isfinite(peak)
-    shifted = np.where(finite_peak[:, None], lm - peak[:, None], -np.inf)
-    terms = sm * np.exp(shifted)
-    total = np.zeros(signs.shape[0])
-    comp = np.zeros(signs.shape[0])
-    for col in range(terms.shape[1]):
-        y = terms[:, col] - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    nonzero = total != 0.0
-    safe = np.where(nonzero, np.abs(total), 1.0)
-    with np.errstate(divide="ignore"):
-        log_mag = np.where(nonzero, peak + np.log(safe), -np.inf)
-    digits = np.where(nonzero, np.maximum(0.0, -np.log(safe) / _LN10), np.inf)
-    digits = np.where(finite_peak, digits, 0.0)
-    sign = np.where(finite_peak, np.sign(total), 0.0)
-    log_mag = np.where(finite_peak, log_mag, -np.inf)
-    return sign, log_mag, peak, digits
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +682,8 @@ def source_count_posteriors(x: EigenSpectrum, sigma2: float, m_max: int, *,
     ratios = []
     for i in range(len(log_ev)):
         others = np.delete(log_ev, i)
-        ratios.append(float(np.exp(log_ev[i] - logsumexp(others))))
+        with np.errstate(over="ignore"):
+            ratios.append(float(np.exp(log_ev[i] - logsumexp(others))))
     return CountPosterior(tuple(counts), tuple(float(p) for p in probs),
                           tuple(ratios), s2, m_max, include_noise_hypothesis)
 

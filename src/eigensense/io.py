@@ -97,18 +97,21 @@ def read_observation(path):
         n_sensors, n_snapshots = int(parts[0]), int(parts[1])
     except ValueError:
         raise InputError(f"{path}: bad matrix header {header!r}") from None
+    if n_sensors < 1 or n_snapshots < 1:
+        raise InputError(f"{path}: matrix header {header!r} needs N >= 1 and L >= 1")
     if len(lines) - 1 != n_sensors:
         raise InputError(
             f"{path}: header promises {n_sensors} rows, found {len(lines) - 1}")
-    entries = np.empty((n_sensors, n_snapshots), dtype=complex)
+    # Sized from the parsed rows, never from the header alone.
+    rows = []
     for r, ln in enumerate(lines[1:]):
         cells = ln.split(",")
         if len(cells) != n_snapshots:
             raise InputError(
                 f"{path}: row {r + 1} has {len(cells)} cells, expected {n_snapshots}")
-        for c, cell in enumerate(cells):
-            entries[r, c] = _parse_cell(cell, f"{path}: row {r + 1}, column {c + 1}")
-    return SampleMatrix(entries)
+        rows.append([_parse_cell(cell, f"{path}: row {r + 1}, column {c + 1}")
+                     for c, cell in enumerate(cells)])
+    return SampleMatrix(np.array(rows, dtype=complex))
 
 
 def write_roc_csv(path, curve: RocCurve) -> None:

@@ -6,7 +6,8 @@ magnitudes overflow doubles long before the sums do.  Everything here
 therefore carries values as (sign, log|value|) pairs:
 
 * :class:`SignedLog` plus :func:`signed_log_sum` implement exact-sign
-  log-domain accumulation with a cancellation diagnostic.
+  log-domain accumulation with a cancellation diagnostic; signed_log_sum is
+  the one-row case of ``_signed_lse_rows``, which the detectors run on stacks.
 * :func:`j_integral` evaluates J_k(x, y) = integral of t^k e^(-t - y/t)
   over [x, inf) by peak-centred adaptive quadrature in u = ln t, returning
   the log of the (always positive) value.  A vectorised variant,
@@ -49,6 +50,10 @@ _TAIL_NATS = 60.0
 
 # Internal quadrature target; tighter than the 1e-10 contract to leave margin.
 _J_RTOL = 1e-12
+
+# Bisection steps per J cutoff and the cap on panel-refinement rounds.
+_J_CUT_BISECTIONS = 30
+_J_MAX_ROUNDS = 60
 
 # Generous sanity cap on |k|; detector orders stay within a few times N+L.
 _J_MAX_ABS_K = 1000
@@ -121,35 +126,51 @@ class CancellationReport:
     cancellation_digits: float
 
 
-_NO_CANCELLATION = CancellationReport(-math.inf, -math.inf, 0.0)
+def _signed_lse_rows(signs: np.ndarray, logmags: np.ndarray):
+    """Row sums of sign*exp(logmag) terms with max-shifted, compensated accumulation.
 
-
-def signed_log_sum(terms) -> tuple[SignedLog, CancellationReport]:
-    """Sum SignedLog terms with max-shifted, compensated accumulation.
-
-    Terms are first put in a canonical order (log-magnitude descending, sign
-    as tie-break) so the result does not depend on input order.  Returns the
-    sum and a CancellationReport; an empty or all-zero input sums to zero.
+    Each row's terms are first put in a canonical order (log-magnitude
+    descending, sign as tie-break) so its sum does not depend on term order.
+    Returns (sign, log_magnitude, peak_term_log, cancellation_digits), each
+    of shape (B,).  Rows whose terms are all zero sum to sign 0.
     """
-    live = [(t.log_magnitude, t.sign) for t in terms if t.sign != 0]
-    if not live:
-        return SignedLog.zero(), _NO_CANCELLATION
-    live.sort(key=lambda p: (-p[0], p[1]))
-    peak = live[0][0]
-    total = 0.0
-    comp = 0.0
-    for log_mag, sign in live:
-        term = sign * math.exp(log_mag - peak)
-        y = term - comp
+    order = np.lexsort((signs, -logmags), axis=-1)
+    sm = np.take_along_axis(signs, order, axis=-1)
+    lm = np.take_along_axis(logmags, order, axis=-1)
+    peak = lm[:, 0].copy()
+    finite_peak = np.isfinite(peak)
+    shifted = np.where(finite_peak[:, None], lm - peak[:, None], -np.inf)
+    terms = sm * np.exp(shifted)
+    total = np.zeros(signs.shape[0])
+    comp = np.zeros(signs.shape[0])
+    for col in range(terms.shape[1]):
+        y = terms[:, col] - comp
         t = total + y
         comp = (t - total) - y
         total = t
-    if total == 0.0:
-        return SignedLog.zero(), CancellationReport(peak, -math.inf, math.inf)
-    result_log = peak + math.log(abs(total))
-    digits = max(0.0, (peak - result_log) / _LN10)
-    return (SignedLog(1 if total > 0 else -1, result_log),
-            CancellationReport(peak, result_log, digits))
+    nonzero = total != 0.0
+    safe = np.where(nonzero, np.abs(total), 1.0)
+    with np.errstate(divide="ignore"):
+        log_mag = np.where(nonzero, peak + np.log(safe), -np.inf)
+    digits = np.where(nonzero, np.maximum(0.0, -np.log(safe) / _LN10), np.inf)
+    digits = np.where(finite_peak, digits, 0.0)
+    sign = np.where(finite_peak, np.sign(total), 0.0)
+    log_mag = np.where(finite_peak, log_mag, -np.inf)
+    return sign, log_mag, peak, digits
+
+
+def signed_log_sum(terms) -> tuple[SignedLog, CancellationReport]:
+    """Sum SignedLog terms: the one-row case of the row kernel above.
+
+    The result does not depend on input order.  Returns the sum and a
+    CancellationReport; an empty or all-zero input sums to zero.
+    """
+    live = [(t.sign, t.log_magnitude) for t in terms if t.sign != 0]
+    if not live:
+        return SignedLog.zero(), CancellationReport(-math.inf, -math.inf, 0.0)
+    signs, logmags = np.array(live, dtype=float).T[:, None, :]
+    sign, log_mag, peak, digits = (float(v[0]) for v in _signed_lse_rows(signs, logmags))
+    return SignedLog(int(sign), log_mag), CancellationReport(peak, log_mag, digits)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +226,18 @@ def _validate_j_args(k: float, x: float) -> None:
         raise DomainError(f"j_integral requires x > 0, got x={x}")
 
 
-def _log_j_batch(k: float, x: float, y: np.ndarray,
-                 rel_tol: float = _J_RTOL, max_rounds: int = 60) -> np.ndarray:
+def _bisect_cut(outer, inner, kp1, y, target):
+    """Move each cutoff from outer (g <= target) toward inner (g > target)
+    by a fixed number of bisections; returns the final outer ends."""
+    for _ in range(_J_CUT_BISECTIONS):
+        mid = 0.5 * (outer + inner)
+        below = _g_log_integrand(mid, kp1, y) <= target
+        outer = np.where(below, mid, outer)
+        inner = np.where(below, inner, mid)
+    return outer
+
+
+def _log_j_batch(k: float, x: float, y: np.ndarray) -> np.ndarray:
     """log J_k(x, y_i) for an array of y >= 0 sharing one (k, x).
 
     Refinement decisions for each integral depend only on that integral's own
@@ -247,27 +278,14 @@ def _log_j_batch(k: float, x: float, y: np.ndarray,
         hi = np.where(need, u_pk + step, hi)
     else:
         raise NumericError("J tail cutoff search failed to terminate")
-    lo = u_pk.copy()
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        below = _g_log_integrand(mid, kp1, y) <= target
-        hi = np.where(below, mid, hi)
-        lo = np.where(below, lo, mid)
-    b_cut = hi
+    b_cut = _bisect_cut(hi, u_pk, kp1, y, target)
 
     # Lower cutoff: only needed when the peak sits strictly inside the domain
     # and the left tail falls below target before reaching ln x.
     a_cut = np.full(n, a0)
-    needs_left = (u_pk > a0) & (_g_log_integrand(np.full(n, a0), kp1, y) < target)
+    needs_left = (u_pk > a0) & (_g_log_integrand(a_cut, kp1, y) < target)
     if needs_left.any():
-        llo = np.full(n, a0)
-        lhi = u_pk.copy()
-        for _ in range(30):
-            mid = 0.5 * (llo + lhi)
-            below = _g_log_integrand(mid, kp1, y) <= target
-            llo = np.where(below, mid, llo)
-            lhi = np.where(below, lhi, mid)
-        a_cut = np.where(needs_left, llo, a_cut)
+        a_cut = np.where(needs_left, _bisect_cut(a_cut, u_pk, kp1, y, target), a0)
 
     # Seed panels: split at the peak when it lies strictly inside (a, b).
     interior = (u_pk > a_cut) & (u_pk < b_cut)
@@ -285,7 +303,7 @@ def _log_j_batch(k: float, x: float, y: np.ndarray,
     width_total = b_cut - a_cut
     acc = np.zeros(n)
 
-    for _ in range(max_rounds):
+    for _ in range(_J_MAX_ROUNDS):
         if owner.size == 0:
             break
         mid = 0.5 * (plo + phi)
@@ -300,7 +318,7 @@ def _log_j_batch(k: float, x: float, y: np.ndarray,
         err = np.abs(i_k - i_g)
 
         totals = acc + np.bincount(owner, weights=i_k, minlength=n)
-        budget = rel_tol * totals[owner] * ((phi - plo) / width_total[owner])
+        budget = _J_RTOL * totals[owner] * ((phi - plo) / width_total[owner])
         done = err <= np.maximum(budget, 5e-324)
 
         if done.any():
@@ -357,51 +375,31 @@ def _log_j_segment_mp(k, y, u_lo, u_hi, dps: int):
         tail = mp.mp.dps * mp.log(10) + 30
         target = gmax - tail
 
-        def cut_down(limit):
-            # largest usable lower bound in [limit, u_pk] with g ~ target
-            if limit > mp.mpf("-inf") and g(limit) >= target:
+        def cut(limit, direction):
+            # outermost usable bound between u_pk and limit, below the peak
+            # for direction -1 and above it for +1, with g ~ target
+            if mp.isfinite(limit) and g(limit) >= target:
                 return limit
             step = mp.mpf(1)
-            lo_c = u_pk - step
+            outer = u_pk + direction * step
             for _ in range(4000):
-                if g(lo_c) <= target or lo_c <= limit:
+                if g(outer) <= target or direction * outer >= direction * limit:
                     break
                 step *= 2
-                lo_c = u_pk - step
-            if lo_c < limit:
-                lo_c = limit
-            hi_c = u_pk
+                outer = u_pk + direction * step
+            if direction * outer > direction * limit:
+                outer = limit
+            inner = u_pk
             for _ in range(mp.mp.dps * 4 + 60):
-                mid = (lo_c + hi_c) / 2
+                mid = (outer + inner) / 2
                 if g(mid) <= target:
-                    lo_c = mid
+                    outer = mid
                 else:
-                    hi_c = mid
-            return lo_c
+                    inner = mid
+            return outer
 
-        def cut_up(limit):
-            if limit < mp.mpf("+inf") and g(limit) >= target:
-                return limit
-            step = mp.mpf(1)
-            hi_c = u_pk + step
-            for _ in range(4000):
-                if g(hi_c) <= target or hi_c >= limit:
-                    break
-                step *= 2
-                hi_c = u_pk + step
-            if hi_c > limit:
-                hi_c = limit
-            lo_c = u_pk
-            for _ in range(mp.mp.dps * 4 + 60):
-                mid = (lo_c + hi_c) / 2
-                if g(mid) <= target:
-                    hi_c = mid
-                else:
-                    lo_c = mid
-            return hi_c
-
-        a = cut_down(lo)
-        b = cut_up(hi)
+        a = cut(lo, -1)
+        b = cut(hi, 1)
         points = [a, u_pk, b] if a < u_pk < b else [a, b]
         val = mp.quad(lambda u: mp.e ** (g(u) - gmax), points)
         if val <= 0:

@@ -58,6 +58,10 @@ def test_instrument_resolves_every_name_and_uninstall_restores_it():
     assert metrics["synthesis.trials"] == 17
     # One Philox generator per block, however many streams it serves.
     assert metrics["synthesis.streams"] == len(blocks)
+    # The assembly and J-kernel helpers are called by the names the tracer
+    # wraps, not through a module attribute it cannot see.
+    assert metrics["assembly.terms"] > 0
+    assert metrics["j_kernel.cutoff_evals_per_integral"] > 0
     assert metrics["escalation.mp_calls"] >= 1
     assert metrics["escalation.rows"] >= 2
     assert metrics["oracle.mc_draws"] == 1000

@@ -8,6 +8,7 @@ full file round trip.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -220,6 +221,23 @@ class TestCount:
         assert lines[0] == "count,probability,ratio"
         assert len(lines) == 4
 
+    def test_overflowing_odds_are_null_in_strict_json(self, tmp_path):
+        # One huge eigenvalue: the noise hypothesis is so unlikely that the
+        # one-source odds overflow a double.
+        obs = _write_eigs(tmp_path, [2000.0, 1.2, 1.0, 0.8], 8)
+        out = tmp_path / "count.json"
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["count", "--input", obs, "--sigma2", "1",
+                         "--m-max", "1", "--output", str(out)])
+        assert code == 0
+        report = json.loads(out.read_text(), parse_constant=reject)
+        assert report["ratios"] == [0.0, None]
+
 
 class TestExitCodes:
     def test_usage_errors(self, capsys):
@@ -256,6 +274,14 @@ class TestExitCodes:
         code = main(["detect", "--input", obs, "--sigma2", "1.0"])
         assert code == 3
         assert "numeric failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["2,-3\n1:0\n1:0\n", "1,99999999999\n1:0\n"])
+    def test_malformed_matrix_header_exits_two(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code = main(["detect", "--input", str(path), "--sigma2", "1.0"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_unwritable_output_exits_two(self, tmp_path, capsys):
         obs = _write_eigs(tmp_path, [3.0, 1.0], 6)

@@ -81,6 +81,19 @@ class TestReadErrors:
         with pytest.raises(InputError, match="rows"):
             read_observation(path)
 
+    def test_nonpositive_matrix_header(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("2,-3\n1:0\n1:0\n")
+        with pytest.raises(InputError, match="header"):
+            read_observation(path)
+
+    def test_huge_header_is_checked_against_the_rows(self, tmp_path):
+        # The header alone must not size an allocation (this one is 1.46 TiB).
+        path = tmp_path / "bad.txt"
+        path.write_text("1,99999999999\n1:0\n")
+        with pytest.raises(InputError, match="cells"):
+            read_observation(path)
+
     def test_cell_count_mismatch(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1,3\n1:0,2:0\n")

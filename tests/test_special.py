@@ -16,7 +16,7 @@ from eigensense import (
     lemma1_determinant,
     signed_log_sum,
 )
-from eigensense.special import _log_j_batch
+from eigensense.special import _log_j_batch, _log_j_segment_mp
 
 
 def mp_j_reference(k, x, y, dps=60):
@@ -164,6 +164,26 @@ class TestJIntegral:
             j_integral(0, 1.0, -0.5)
         with pytest.raises(DomainError):
             j_integral(5000, 1.0, 1.0)
+
+
+class TestLogJSegmentMp:
+    @pytest.mark.parametrize("k, y, u_lo, u_hi", [
+        (0, 100.0, math.log(0.5), math.log(200.0)),  # both cuts clamp to their limits
+        (0, 100.0, math.log(0.01), math.log(1e4)),   # both bisect inside finite limits
+        (-3, 50.0, -math.inf, math.log(30.0)),       # lower cut bisects toward -inf
+        (1, 0.0, math.log(0.5), math.inf),           # upper cut bisects toward +inf
+    ])
+    def test_segment_against_quadrature_in_t(self, k, y, u_lo, u_hi):
+        got = _log_j_segment_mp(k, y, u_lo, u_hi, 40)
+        with mp.workdps(60):
+            # The segment is the integral of t^k e^(-t - y/t) over [e^u_lo, e^u_hi].
+            f = lambda t: t ** mp.mpf(k) * mp.e ** (-t - mp.mpf(y) / t)
+            kp1 = mp.mpf(k) + 1
+            s = mp.sqrt(kp1 * kp1 + 4 * mp.mpf(y))
+            tstar = (kp1 + s) / 2 if kp1 >= 0 else (2 * mp.mpf(y)) / (s - kp1)
+            t_lo, t_hi = mp.exp(mp.mpf(u_lo)), mp.exp(mp.mpf(u_hi))
+            pts = [t_lo, tstar, t_hi] if t_lo < tstar < t_hi else [t_lo, t_hi]
+            assert abs(got - mp.log(mp.quad(f, pts))) < mp.mpf("1e-30")
 
 
 class TestJViaBessel:
