@@ -450,7 +450,7 @@ def _signal_mp(gvals: np.ndarray, L: int, m: int, sigma2: float, dps: int):
                 term_signs.append(sign * dsgn)
 
         peak = max(term_logs)
-        total = mp.fsum(s * mp.e ** (lm - peak) for s, lm in zip(term_signs, term_logs))
+        total = mp.fsum(s * mp.exp(lm - peak) for s, lm in zip(term_signs, term_logs))
         if total == 0:
             return 0, -math.inf, float(peak + pref), math.inf
         log_mag = peak + mp.log(abs(total)) + pref

@@ -196,6 +196,12 @@ def _synthesize_block(s: Scenario, hyp_code: int, start: int, count: int) -> np.
 # Oracles
 # ---------------------------------------------------------------------------
 
+def _real_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re(sum_k conj(a_k) b_k) per row of two contiguous (B, N) complex arrays,
+    as one real dot product of their (B, 2N) float views."""
+    return np.einsum("ij,ij->i", a.view(float), b.view(float))
+
+
 def _gaussian_loglikes(w_mat: np.ndarray, n_snapshots: int, sigma2: float,
                        h_block: np.ndarray) -> np.ndarray:
     """ln of the conditional density of Y given each channel draw.
@@ -205,15 +211,43 @@ def _gaussian_loglikes(w_mat: np.ndarray, n_snapshots: int, sigma2: float,
     stack of channels through the m x m matrix G = sigma2 I + H^H H:
     ln det(C) = (N - m) ln sigma2 + ln det(G) (determinant lemma) and
     tr(W C^-1) = (tr W - tr(G^-1 H^H W H)) / sigma2 (Woodbury identity).
+
+    G is factored as U^H D U (Cholesky without square roots, U unit upper
+    triangular) one column at a time, vectorised over the draws.  Forward
+    substitution V = H U^-1 carries W V along, so ln det(G) = sum_j ln d_j
+    and tr(G^-1 H^H W H) = sum_j Re(v_j^H W v_j) / d_j.  h_block is not
+    written to.
     """
     b, n, m = h_block.shape
     L = n_snapshots
-    hh = h_block.conj().transpose(0, 2, 1)
-    gram = hh @ h_block
-    gram[:, np.arange(m), np.arange(m)] += sigma2
-    _, logdet_g = np.linalg.slogdet(gram)
+    # Column j of every draw as one contiguous (B, N) slab.  At m = 1 this is
+    # a view of h_block, so nothing below writes to it; W V is a new array.
+    h = np.ascontiguousarray(h_block.transpose(2, 0, 1))
+    wv = (h.reshape(m * b, n) @ w_mat.T).reshape(m, b, n)
+    gram = [[np.einsum("ij,ij->i", h[i].conj(), h[j]) for i in range(j)]
+            + [_real_dots(h[j], h[j]) + sigma2] for j in range(m)]
+    d, u, v = [], [], []
+    logdet_g = np.zeros(b)
+    reduced = np.zeros(b)
+    for j in range(m):
+        # u[j][i] = U_ij for i < j, from G_ij = sum_l conj(U_li) d_l U_lj.
+        u_j = []
+        for i in range(j):
+            acc = gram[j][i]
+            for l in range(i):
+                acc = acc - u[i][l].conj() * d[l] * u_j[l]
+            u_j.append(acc / d[i])
+        d_j, v_j = gram[j][j], h[j]
+        for i in range(j):
+            d_j = d_j - d[i] * (u_j[i].conj() * u_j[i]).real
+            v_j = v_j - u_j[i][:, None] * v[i]
+            wv[j] -= u_j[i][:, None] * wv[i]
+        d.append(d_j)
+        u.append(u_j)
+        v.append(v_j)
+        logdet_g += np.log(d_j)
+        reduced += _real_dots(v_j, wv[j]) / d_j
     logdet = logdet_g + (n - m) * math.log(sigma2)
-    reduced = np.trace(np.linalg.solve(gram, hh @ (w_mat @ h_block)), axis1=1, axis2=2).real
     trace_term = (np.trace(w_mat).real - reduced) / sigma2
     return -n * L * math.log(math.pi) - L * logdet - trace_term
 
@@ -247,7 +281,8 @@ def mc_signal_likelihood_oracle(y: SampleMatrix, m: int, sigma2: float,
     for c in range(n_chunks):
         start = c * _ORACLE_CHUNK
         count = min(_ORACLE_CHUNK, n_samples - start)
-        h_block = _complex_normal(point(_ORACLE_HYP_CODE, c, 0), (count, n, m)) / math.sqrt(m)
+        h_block = _complex_normal(point(_ORACLE_HYP_CODE, c, 0), (count, n, m))
+        h_block /= math.sqrt(m)
         lls[start:start + count] = _gaussian_loglikes(w_mat, L, float(sigma2), h_block)
 
     peak = lls.max()

@@ -55,6 +55,11 @@ _J_RTOL = 1e-12
 _J_CUT_BISECTIONS = 30
 _J_MAX_ROUNDS = 60
 
+# Cap on the live panels of one integral.  At very large y the rounding of
+# g(u) outweighs the panel budget, every panel splits each round, and memory
+# would double per round; the table grid needs at most a dozen.
+_J_MAX_PANELS = 4096
+
 # Generous sanity cap on |k|; detector orders stay within a few times N+L.
 _J_MAX_ABS_K = 1000
 
@@ -328,6 +333,12 @@ def _log_j_batch(k: float, x: float, y: np.ndarray) -> np.ndarray:
             owner = owner[:0]
             break
         owner_l, plo_l, phi_l, mid_l = owner[live], plo[live], phi[live], mid[live]
+        crowded = 2 * np.bincount(owner_l, minlength=n) > _J_MAX_PANELS
+        if crowded.any():
+            bad = np.nonzero(crowded)[0]
+            raise NumericError(
+                f"J quadrature needs more than {_J_MAX_PANELS} panels for "
+                f"{bad.size} integral(s); first offender k={k}, x={x}, y={y[bad[0]]}")
         m = owner_l.size
         owner = np.repeat(owner_l, 2)
         plo = np.empty(2 * m); phi = np.empty(2 * m)
@@ -355,7 +366,8 @@ def _log_j_segment_mp(k, y, u_lo, u_hi, dps: int):
         y_ = mp.mpf(y)
 
         def g(u):
-            return kp1 * u - mp.e ** u - y_ * mp.e ** (-u)
+            e = mp.exp(u)
+            return kp1 * u - e - y_ / e
 
         s = mp.sqrt(kp1 * kp1 + 4 * y_)
         if kp1 >= 0:
@@ -400,8 +412,12 @@ def _log_j_segment_mp(k, y, u_lo, u_hi, dps: int):
 
         a = cut(lo, -1)
         b = cut(hi, 1)
-        points = [a, u_pk, b] if a < u_pk < b else [a, b]
-        val = mp.quad(lambda u: mp.e ** (g(u) - gmax), points)
+        segments = [(a, u_pk), (u_pk, b)] if a < u_pk < b else [(a, b)]
+        # Each segment is mapped onto [0, 1]: mp.quad keeps the nodes of every
+        # interval it meets twice, so quadrature over the segments themselves
+        # would grow that cache with every distinct integral.
+        val = mp.fsum((q - p) * mp.quad(lambda s: mp.exp(g(p + (q - p) * s) - gmax), [0, 1])
+                      for p, q in segments)
         if val <= 0:
             raise NumericError("extended-precision J quadrature returned a non-positive value")
         return gmax + mp.log(val)
@@ -479,7 +495,7 @@ def j_via_bessel(k: int, x: float, y: float) -> float:
             y_mp = mp.mpf(y)
             full_mp = 2 * y_mp ** (kp1_mp / 2) * mp.besselk(kp1_mp, 2 * mp.sqrt(y_mp))
             log_head = _log_j_segment_mp(k, y, mp.mpf("-inf"), mp.log(mp.mpf(x)), dps)
-            value_mp = full_mp - mp.e ** log_head
+            value_mp = full_mp - mp.exp(log_head)
             if value_mp > 0 and mp.log(value_mp) > mp.log(full_mp) - (dps - 12) * mp.log(10):
                 return float(value_mp)
         dps *= 2

@@ -275,6 +275,15 @@ class TestExitCodes:
         assert code == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_huge_eigenvalues_exit_three(self, tmp_path, capped_python):
+        # The J kernel's panel cap: a typed error, not a hang that eats memory.
+        obs = tmp_path / "huge.txt"
+        obs.write_text("eigs,8\n1e20\n1e20\n")
+        proc = capped_python(["-m", "eigensense.cli", "detect", "--input", str(obs),
+                              "--sigma2", "1"], timeout=60)
+        assert proc.returncode == 3, proc.stderr
+        assert "numeric failure" in proc.stderr
+
     @pytest.mark.parametrize("text", ["2,-3\n1:0\n1:0\n", "1,99999999999\n1:0\n"])
     def test_malformed_matrix_header_exits_two(self, tmp_path, capsys, text):
         path = tmp_path / "bad.txt"

@@ -166,22 +166,46 @@ class TestStreamReference:
 
 
 class TestGaussianLoglikes:
+    @staticmethod
+    def _eigh_reference(w, L, sigma2, h):
+        # Eigendecompose the full N x N covariance C = H H^H + sigma2 I.
+        n = h.shape[1]
+        cov = h @ h.conj().transpose(0, 2, 1) + sigma2 * np.eye(n)
+        eigvals, eigvecs = np.linalg.eigh(cov)
+        quad = np.einsum("bji,jk,bki->bi", eigvecs.conj(), w, eigvecs).real
+        return (-n * L * math.log(math.pi) - L * np.log(eigvals).sum(axis=1)
+                - (quad / eigvals).sum(axis=1))
+
     def test_matches_eigh_reference(self):
-        # Reference: eigendecompose the full N x N covariance C = H H^H + sigma2 I.
         rng = np.random.default_rng(17)
         n, L, b, sigma2 = 4, 7, 50, 0.7
         y = rng.standard_normal((n, L)) + 1j * rng.standard_normal((n, L))
         w = y @ y.conj().T
-        for m in (1, 2, 3):
-            h = (rng.standard_normal((b, n, m))
-                 + 1j * rng.standard_normal((b, n, m))) / np.sqrt(2 * m)
-            cov = h @ h.conj().transpose(0, 2, 1) + sigma2 * np.eye(n)
-            eigvals, eigvecs = np.linalg.eigh(cov)
-            quad = np.einsum("bji,jk,bki->bi", eigvecs.conj(), w, eigvecs).real
-            ref = (-n * L * math.log(math.pi) - L * np.log(eigvals).sum(axis=1)
-                   - (quad / eigvals).sum(axis=1))
-            got = _gaussian_loglikes(w, L, sigma2, h)
-            assert got == pytest.approx(ref, rel=1e-11), m
+
+        def draws(m):
+            return (rng.standard_normal((b, n, m))
+                    + 1j * rng.standard_normal((b, n, m))) / np.sqrt(2 * m)
+
+        # m = 5 > N = 4: G is 5 x 5 but H^H H has rank 4.
+        cases = [(f"m={m}", sigma2, draws(m)) for m in (1, 2, 3, 5)]
+        # Two near-collinear columns under little noise: G is ill-conditioned.
+        h = draws(2)
+        h[:, :, 1] = h[:, :, 0] * (1.0 + 1e-6j) + 1e-6 * h[:, :, 1]
+        cases.append(("near-collinear", 1e-3, h))
+        for label, s2, h in cases:
+            got = _gaussian_loglikes(w, L, s2, h)
+            assert got == pytest.approx(self._eigh_reference(w, L, s2, h), rel=1e-11), label
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_leaves_channels_untouched(self, m):
+        # At m = 1 the (m, B, N) transpose of h_block is a view of it, so an
+        # in-place elimination on it would write into the caller's array.
+        rng = np.random.default_rng(m)
+        y = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+        h = rng.standard_normal((40, 4, m)) + 1j * rng.standard_normal((40, 4, m))
+        before = h.tobytes()
+        _gaussian_loglikes(y @ y.conj().T, 6, 0.5, h)
+        assert h.tobytes() == before
 
 
 class TestMcOracle:

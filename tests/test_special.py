@@ -155,6 +155,20 @@ class TestJIntegral:
         alone = np.array([_log_j_batch(-4, 1.3, ys[i:i + 1])[0] for i in range(ys.size)])
         assert whole.tobytes() == alone.tobytes()
 
+    def test_huge_y_raises_instead_of_growing(self, capped_python):
+        # At y = 1e20 the panels never meet their budget; the panel cap turns
+        # unbounded growth into a NumericError naming the integral.
+        code = ("import numpy as np\n"
+                "from eigensense import NumericError\n"
+                "from eigensense.special import _log_j_batch\n"
+                "try:\n"
+                "    _log_j_batch(-7, 1.0, np.array([1.0, 1e20]))\n"
+                "except NumericError as exc:\n"
+                "    print(exc)\n")
+        proc = capped_python(["-c", code], timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert "first offender k=-7, x=1.0, y=1e+20" in proc.stdout
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             j_integral(0, 0.0, 1.0)
@@ -184,6 +198,17 @@ class TestLogJSegmentMp:
             t_lo, t_hi = mp.exp(mp.mpf(u_lo)), mp.exp(mp.mpf(u_hi))
             pts = [t_lo, tstar, t_hi] if t_lo < tstar < t_hi else [t_lo, t_hi]
             assert abs(got - mp.log(mp.quad(f, pts))) < mp.mpf("1e-30")
+
+    def test_repeats_add_no_node_cache_entry_per_integral(self):
+        # mp.quad keeps the nodes of every interval it meets twice.  Segments
+        # are mapped onto [0, 1], so repeating distinct integrals must not add
+        # cache entries keyed by their own endpoints.
+        cache = mp.mp._tanh_sinh.transformed_cache
+        before = set(cache)
+        for _ in range(2):
+            for y in (2.0, 3.0, 5.0):
+                _log_j_segment_mp(-2, y, math.log(0.5), math.inf, 30)
+        assert {key[:2] for key in set(cache) - before} <= {(0, 1)}
 
 
 class TestJViaBessel:
