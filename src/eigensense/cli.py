@@ -84,6 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
         count.add_argument("--m", type=int, help="known source count (default 1)")
         count.add_argument("--m-max", type=int,
                            help="marginalise the source count over 1..M_MAX")
+
+    def add_precision_flag(p):
         p.add_argument("--precision", choices=("standard", "extended"),
                        default="standard",
                        help="force extended-precision evaluation (default standard)")
@@ -91,6 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_detect = sub.add_parser("detect", help="decide signal vs noise for one observation")
     p_detect.add_argument("--input", required=True, help="observation file (matrix or eigenvalues)")
     add_prior_flags(p_detect, need_noise=True)
+    add_precision_flag(p_detect)
     thr = p_detect.add_mutually_exclusive_group()
     thr.add_argument("--threshold", type=float,
                      help="decision threshold on the linear ratio C (default 1.0)")
@@ -130,8 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--include-noise", action=argparse.BooleanOptionalAction,
                          default=True,
                          help="include the zero-source hypothesis (default yes)")
-    p_count.add_argument("--precision", choices=("standard", "extended"),
-                         default="standard")
+    add_precision_flag(p_count)
     p_count.add_argument("--output", help="write the report here instead of stdout")
     p_count.add_argument("--format", choices=("json", "csv"), default="json")
     p_count.set_defaults(handler=_cmd_count)
@@ -230,8 +232,7 @@ def _cmd_roc(args) -> int:
     else:
         if noise is None:
             noise = ExactNoise(scenario.sigma2)
-        detector = BayesDetector(PriorConfig(_source_count_from_args(args), noise),
-                                 args.precision)
+        detector = BayesDetector(PriorConfig(_source_count_from_args(args), noise))
 
     started = time.perf_counter()
     curve = run_roc(scenario, detector, n_threads=args.threads)
@@ -243,7 +244,6 @@ def _cmd_roc(args) -> int:
         "source_count": repr(_source_count_from_args(args)),
         "noise": repr(noise),
         "threads": args.threads,
-        "precision": args.precision,
         "thresholds": "auto",
     }
     write_roc_sidecar(f"{args.output}.json", curve, config, runtime)

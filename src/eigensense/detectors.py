@@ -300,30 +300,27 @@ def log_noise_likelihood(x: EigenSpectrum, sigma2: float) -> float:
 # SIMO signal likelihood (single source)
 # ---------------------------------------------------------------------------
 
-def _simo_prefactor_rows(gvals: np.ndarray, L: int, sigma2: float) -> np.ndarray:
-    # Constant fixed against three independent oracles (Monte Carlo channel
-    # averaging, and direct quadrature at N=1 and N=2): no 1/N factor.
-    b, n = gvals.shape
-    const = sigma2 - L * n * _LOG_PI - (n - 1) * (L - 1) * math.log(sigma2)
-    return const - gvals.sum(axis=1) / sigma2
-
-
-def _simo_batch(gvals: np.ndarray, L: int, sigma2: float):
-    """ln P(Y | one source) over a (B, N) stack of guarded descending spectra."""
-    b, n = gvals.shape
-    k = n - L - 1
-    jlog = _log_j_batch(k, sigma2, gvals.ravel()).reshape(b, n)
+def _log_gaps(gvals: np.ndarray):
+    """(log|x_i - x_j|, sign(x_i - x_j)) over a (B, N) stack, as (B, N, N)
+    arrays holding 0 and +1 on the diagonal."""
+    n = gvals.shape[1]
     diffs = gvals[:, :, None] - gvals[:, None, :]
     eye = np.eye(n, dtype=bool)
     absd = np.abs(diffs)
     absd[:, eye] = 1.0
     sgn = np.sign(diffs)
     sgn[:, eye] = 1.0
-    denom_log = np.log(absd).sum(axis=2)
-    denom_sign = sgn.prod(axis=2)
-    logmags = gvals / sigma2 + jlog - denom_log
-    sign, log_mag, peak, digits = _signed_lse_rows(denom_sign, logmags)
-    pref = _simo_prefactor_rows(gvals, L, sigma2)
+    return np.log(absd), sgn
+
+
+def _simo_batch(gvals: np.ndarray, L: int, sigma2: float):
+    """ln P(Y | one source) over a (B, N) stack of guarded descending spectra."""
+    b, n = gvals.shape
+    jlog = _log_j_batch(n - L - 1, sigma2, gvals.ravel()).reshape(b, n)
+    logabs, sgn = _log_gaps(gvals)
+    logmags = gvals / sigma2 + jlog - logabs.sum(axis=2)
+    sign, log_mag, peak, digits = _signed_lse_rows(sgn.prod(axis=2), logmags)
+    pref = _mimo_prefactor_rows(gvals, L, 1, sigma2)
     return sign, log_mag + pref, peak + pref, digits
 
 
@@ -356,7 +353,9 @@ def _mimo_tables(n: int, m: int):
 def _mimo_prefactor_rows(gvals: np.ndarray, L: int, m: int, sigma2: float) -> np.ndarray:
     # Leading constant is 1/m! (each m-subset of sensors appears m! times in
     # the ordered-tuple sum); validated against the Monte Carlo oracle at
-    # (N=3, m=2) and (N=4, m=2) and against the m=1 reduction.
+    # (N=3, m=2) and (N=4, m=2) and against the m=1 reduction.  At m=1 it is
+    # the one-source constant, fixed against three independent oracles (Monte
+    # Carlo channel averaging, and direct quadrature at N=1 and N=2).
     b, n = gvals.shape
     const = (-math.lgamma(m + 1)
              + 0.5 * m * (2 * L - m + 1) * math.log(m)
@@ -379,13 +378,7 @@ def _mimo_batch(gvals: np.ndarray, L: int, m: int, sigma2: float):
         _log_j_batch(n - L - 2 + j, m * sigma2, (m * gvals).ravel()).reshape(b, n)
         for j in range(1, m + 1)
     ]
-    diffs = gvals[:, :, None] - gvals[:, None, :]
-    eye = np.eye(n, dtype=bool)
-    absd = np.abs(diffs)
-    absd[:, eye] = 1.0
-    logabs = np.log(absd)
-    sgn = np.sign(diffs)
-    sgn[:, eye] = 1.0
+    logabs, sgn = _log_gaps(gvals)
 
     tuples, keeps, bperms, bsigns = _mimo_tables(n, m)
     col_logs = []
@@ -506,56 +499,51 @@ def _log_ratio_rows(comp_logs, gvals: np.ndarray, L: int, ms, bounded: bool,
 # Scalar evaluation: the components at B=1, escalating the rejected ones
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _LLResult:
-    value: SignedLog
-    report: CancellationReport
-    extended_used: bool
-
-
 def _signal_from_guarded(gvals: np.ndarray, L: int, m: int, sigma2: float,
-                         digits_hint: float) -> _LLResult:
-    """Multiprecision ln P(Y | m sources) for a component the double path rejected.
+                         digits_hint: float):
+    """Multiprecision (sign, log_mag, peak, digits) row of ln P(Y | m sources),
+    sign +1, for a component the double path rejected.
 
     digits_hint is the double path's cancellation (inf when it was not run)
     and sizes the working precision.
     """
     dps = min(300, 40 + int(1.6 * digits_hint)) if math.isfinite(digits_hint) else 60
     for _ in range(2):
-        sign, log_mag, peak, digits = _signal_mp(gvals, L, m, sigma2, dps)
-        if sign == 1:
-            return _LLResult(SignedLog(1, log_mag),
-                             CancellationReport(peak, log_mag, digits),
-                             True)
+        row = _signal_mp(gvals, L, m, sigma2, dps)
+        if row[0] == 1:
+            return row
         dps = min(600, 2 * dps)
     raise NumericError(
-        f"signal likelihood sign stayed {sign} after multiprecision retry "
+        f"signal likelihood sign stayed {row[0]} after multiprecision retry "
         f"(N={gvals.size}, L={L}, m={m}, sigma2={sigma2})")
 
 
 def _components_at_one(gvals: np.ndarray, L: int, ms, points, precision: str,
-                       mimo_path: bool = False) -> list:
-    """_component_rows for one guarded spectrum, as _LLResults.
+                       mimo_path: bool = False):
+    """_component_rows for one guarded spectrum: (rows, extended_used).
 
+    Each row is a component's (sign, log_mag, peak, digits) as floats.
     Components that fail _accepted, and every component under
-    precision="extended", go through _signal_from_guarded.
+    precision="extended", take _signal_from_guarded's row instead.
     """
     if precision not in ("standard", "extended"):
         raise DomainError(f"unknown precision mode {precision!r}")
-    rows = None
+    batch = None
     if precision == "standard":
-        rows = _component_rows(gvals[None, :], L, ms, points, mimo_path)
-    out = []
+        batch = _component_rows(gvals[None, :], L, ms, points, mimo_path)
+    rows = []
+    extended = False
     for i, (m, p) in enumerate(itertools.product(ms, points)):
         digits = math.inf
-        if rows is not None:
-            sign, log_mag, peak, digits = (float(a[0]) for a in rows[i])
+        if batch is not None:
+            row = tuple(float(a[0]) for a in batch[i])
+            sign, log_mag, _, digits = row
             if _accepted(sign, log_mag, digits):
-                out.append(_LLResult(SignedLog(1, log_mag),
-                                     CancellationReport(peak, log_mag, digits), False))
+                rows.append(row)
                 continue
-        out.append(_signal_from_guarded(gvals, L, m, float(p), digits))
-    return out
+        rows.append(_signal_from_guarded(gvals, L, m, float(p), digits))
+        extended = True
+    return rows, extended
 
 
 def _prepare_spectrum(x: EigenSpectrum, sigma2: float) -> tuple[np.ndarray, bool]:
@@ -568,8 +556,8 @@ def log_simo_signal_likelihood(x: EigenSpectrum, sigma2: float, *,
                                precision: str = "standard") -> SignedLog:
     """ln P(Y | one source, noise power sigma2) as a SignedLog (sign +1)."""
     gvals, _ = _prepare_spectrum(x, sigma2)
-    return _components_at_one(gvals, x.n_snapshots, [1], [float(sigma2)],
-                              precision)[0].value
+    rows, _ = _components_at_one(gvals, x.n_snapshots, [1], [float(sigma2)], precision)
+    return SignedLog(1, rows[0][1])
 
 
 def log_mimo_signal_likelihood(x: EigenSpectrum, m: int, sigma2: float, *,
@@ -581,8 +569,9 @@ def log_mimo_signal_likelihood(x: EigenSpectrum, m: int, sigma2: float, *,
     if m > x.n_sensors:
         raise DomainError(f"m={m} sources with N={x.n_sensors} sensors is unsupported (m <= N)")
     gvals, _ = _prepare_spectrum(x, sigma2)
-    return _components_at_one(gvals, x.n_snapshots, [m], [float(sigma2)],
-                              precision, mimo_path=True)[0].value
+    rows, _ = _components_at_one(gvals, x.n_snapshots, [m], [float(sigma2)],
+                                 precision, mimo_path=True)
+    return SignedLog(1, rows[0][1])
 
 
 # ---------------------------------------------------------------------------
@@ -614,11 +603,12 @@ def _marginal_statistic(gvals: np.ndarray, L: int, ms, bounded: bool,
 
     Returns (SignedLog, worst CancellationReport, extended_used).
     """
-    comps = _components_at_one(gvals, L, ms, points, precision)
-    stat = _log_ratio_rows([np.array([c.value.log_magnitude]) for c in comps],
+    rows, extended = _components_at_one(gvals, L, ms, points, precision)
+    stat = _log_ratio_rows([np.array([r[1]]) for r in rows],
                            gvals[None, :], L, ms, bounded, points, weights)
-    worst = max((c.report for c in comps), key=lambda r: r.cancellation_digits)
-    return SignedLog(1, float(stat[0])), worst, any(c.extended_used for c in comps)
+    _, log_mag, peak, digits = max(rows, key=lambda r: r[3])
+    return (SignedLog(1, float(stat[0])), CancellationReport(peak, log_mag, digits),
+            extended)
 
 
 def detection_log_ratio(x: EigenSpectrum, prior: PriorConfig, *,
@@ -669,8 +659,8 @@ def source_count_posteriors(x: EigenSpectrum, sigma2: float, m_max: int, *,
     L = x.n_snapshots
 
     counts = list(range(1, m_max + 1))
-    log_ev = [c.value.log_magnitude
-              for c in _components_at_one(gvals, L, counts, [s2], precision)]
+    rows, _ = _components_at_one(gvals, L, counts, [s2], precision)
+    log_ev = [r[1] for r in rows]
     if include_noise_hypothesis:
         counts.insert(0, 0)
         log_ev.insert(0, _noise_ll_from_values(float(np.sum(gvals)), x.n_sensors, L, s2))
@@ -720,19 +710,19 @@ def _batch_fast_stats(vals: np.ndarray, L: int, prior: PriorConfig):
 
 
 def _retry_rows_scalar(vals: np.ndarray, L: int, prior: PriorConfig,
-                       stats: np.ndarray, rows, precision: str = "standard"):
-    """Redo flagged rows through the scalar (escalating) path, in place.
+                       stats: np.ndarray, rows):
+    """Redo flagged rows through the scalar path, in place.
 
-    Serial by design: the multiprecision fallback adjusts global mpmath
-    precision, so this must not run concurrently.  Returns
+    Each row escalates exactly the components a detection_log_ratio call on
+    it would.  Serial by design: the multiprecision fallback adjusts global
+    mpmath precision, so this must not run concurrently.  Returns
     (failed_mask_over_rows, n_extended).
     """
     failed = np.zeros(len(rows), dtype=bool)
     n_extended = 0
     for j, i in enumerate(rows):
         try:
-            ds = detection_log_ratio(EigenSpectrum(vals[i], L), prior,
-                                     precision=precision)
+            ds = detection_log_ratio(EigenSpectrum(vals[i], L), prior)
             stats[i] = ds.log_ratio.log_magnitude
             n_extended += int(ds.extended_used)
         except NumericError:

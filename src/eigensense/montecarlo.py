@@ -92,7 +92,6 @@ class BayesDetector:
     """Run the closed-form ratio under the given receiver prior."""
 
     prior: PriorConfig
-    precision: str = "standard"
 
     @property
     def label(self) -> str:
@@ -381,8 +380,10 @@ def _stats_for_hypothesis(s: Scenario, hyp_code: int, detector,
                           n_threads: int):
     """Detection statistics for every trial under one hypothesis.
 
-    Returns (stats with NaN at failures, n_failed).  Chunk boundaries are
-    fixed, so the result is independent of n_threads.
+    Returns (stats with NaN at failures, n_failed).  The rows any chunk
+    flags are redone in one pass after all chunks, each as a scalar call
+    would be.  Chunk boundaries are fixed, so the result is independent of
+    n_threads.
     """
     n_trials = s.n_trials
     n_chunks = (n_trials + _ROC_CHUNK - 1) // _ROC_CHUNK
@@ -397,7 +398,8 @@ def _stats_for_hypothesis(s: Scenario, hyp_code: int, detector,
         block = _synthesize_block(s, hyp_code, start, count)
         vals = _gram_eigenvalues_batch(block)
         if energy:
-            return _batch_energy_stats(vals, s.n_snapshots, sigma2), None, None
+            stats = _batch_energy_stats(vals, s.n_snapshots, sigma2)
+            return stats, np.zeros(count, dtype=bool), vals
         stats, bad, _ = _batch_fast_stats(vals, s.n_snapshots, detector.prior)
         return stats, bad, vals
 
@@ -407,20 +409,13 @@ def _stats_for_hypothesis(s: Scenario, hyp_code: int, detector,
     else:
         results = [eval_chunk(c) for c in range(n_chunks)]
 
-    stats = np.concatenate([r[0] for r in results])
-    n_failed = 0
-    if not energy:
-        # Scalar escalation is serial: it adjusts global mpmath precision.
-        for c, (chunk_stats, bad, vals) in enumerate(results):
-            if bad is None or not bad.any():
-                continue
-            rows = np.nonzero(bad)[0]
-            row_failed, _ = _retry_rows_scalar(vals, s.n_snapshots,
-                                               detector.prior, chunk_stats, rows,
-                                               detector.precision)
-            stats[c * _ROC_CHUNK + rows] = chunk_stats[rows]
-            n_failed += int(row_failed.sum())
-    return stats, n_failed
+    stats, bad, vals = (np.concatenate(parts) for parts in zip(*results))
+    if not bad.any():
+        return stats, 0
+    # Scalar escalation is serial: it adjusts global mpmath precision.
+    failed, _ = _retry_rows_scalar(vals, s.n_snapshots, detector.prior, stats,
+                                   np.nonzero(bad)[0])
+    return stats, int(failed.sum())
 
 
 def run_roc(s: Scenario, detector, thresholds="auto", n_threads: int = 1) -> RocCurve:

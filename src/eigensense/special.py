@@ -110,12 +110,6 @@ class SignedLog:
     def __neg__(self) -> "SignedLog":
         return SignedLog(-self.sign, self.log_magnitude)
 
-    def scaled_by_log(self, log_factor: float) -> "SignedLog":
-        """Multiply by exp(log_factor) without leaving the log domain."""
-        if self.sign == 0:
-            return self
-        return SignedLog(self.sign, self.log_magnitude + log_factor)
-
 
 @dataclass(frozen=True)
 class CancellationReport:

@@ -120,6 +120,17 @@ class TestDetect:
         assert "BoundedCount" in report["config"]["source_count"]
         assert "NoiseGrid" in report["config"]["noise"]
 
+    def test_extended_precision_matches_standard(self, tmp_path):
+        obs = _write_eigs(tmp_path, [4.1, 1.7, 0.6], 7)
+        args = ["detect", "--input", obs, "--sigma2-range=-3:1:3", "--grid-scale", "db",
+                "--m", "2"]
+        std = _detect_json(tmp_path, args)
+        ext = _detect_json(tmp_path, args + ["--precision", "extended"])
+        assert ext["config"]["precision"] == "extended"
+        assert ext["result"]["extended_used"] is True
+        assert std["result"]["extended_used"] is False
+        assert abs(ext["result"]["log10_ratio"] - std["result"]["log10_ratio"]) <= 1e-10
+
 
 class TestRoc:
     def test_energy_sweep_writes_files(self, tmp_path, capsys):
@@ -221,6 +232,18 @@ class TestCount:
         assert lines[0] == "count,probability,ratio"
         assert len(lines) == 4
 
+    def test_extended_precision_matches_standard(self, tmp_path):
+        obs = _write_eigs(tmp_path, [4.1, 1.7, 0.6], 7)
+        reports = {}
+        for mode in ("standard", "extended"):
+            out = tmp_path / f"{mode}.json"
+            assert main(["count", "--input", obs, "--sigma2", "0.8", "--m-max", "2",
+                         "--precision", mode, "--output", str(out)]) == 0
+            reports[mode] = json.loads(out.read_text())
+        assert reports["extended"]["config"]["precision"] == "extended"
+        assert np.allclose(reports["extended"]["probabilities"],
+                           reports["standard"]["probabilities"], rtol=1e-10, atol=0.0)
+
     def test_overflowing_odds_are_null_in_strict_json(self, tmp_path):
         # One huge eigenvalue: the noise hypothesis is so unlikely that the
         # one-source odds overflow a double.
@@ -245,6 +268,8 @@ class TestExitCodes:
         assert main(["detect"]) == 2
         assert main(["detect", "--input", "x.txt"]) == 2
         assert main(["roc", "--sigma2-range", "nonsense"]) == 2
+        # ROC sweeps escalate like scalar calls; there is no precision mode.
+        assert main(["roc", "--precision", "extended"]) == 2
         capsys.readouterr()
 
     def test_version_exits_zero(self, capsys):

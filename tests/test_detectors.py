@@ -431,6 +431,42 @@ class TestPriorValidation:
             PriorConfig(ExactCount(1), 1.0)
 
 
+class TestExtendedPrecision:
+    """precision="extended" runs every component in multiprecision; on a
+    spectrum the double path handles cleanly both modes agree."""
+
+    x = EigenSpectrum([4.1, 1.7, 0.6], 7)
+    s2 = 0.8
+
+    def test_likelihoods_match_standard(self):
+        for fn, args in ((log_simo_signal_likelihood, (self.s2,)),
+                         (log_mimo_signal_likelihood, (2, self.s2))):
+            std = fn(self.x, *args)
+            ext = fn(self.x, *args, precision="extended")
+            assert ext.sign == 1
+            assert abs(ext.log_magnitude - std.log_magnitude) <= 1e-10
+
+    def test_detection_ratio_matches_standard(self):
+        prior = PriorConfig(ExactCount(2), NoiseGrid(-3.0, 1.0, 3, "db"))
+        std = detection_log_ratio(self.x, prior)
+        ext = detection_log_ratio(self.x, prior, precision="extended")
+        assert not std.extended_used
+        assert ext.extended_used
+        assert abs(ext.log_ratio.log_magnitude - std.log_ratio.log_magnitude) <= 1e-10
+
+    def test_count_posteriors_match_standard(self):
+        std = source_count_posteriors(self.x, self.s2, 2)
+        ext = source_count_posteriors(self.x, self.s2, 2, precision="extended")
+        assert np.allclose(ext.probabilities, std.probabilities, rtol=1e-10, atol=0.0)
+
+    def test_unknown_mode_rejected(self):
+        prior = PriorConfig(ExactCount(1), ExactNoise(self.s2))
+        with pytest.raises(DomainError):
+            detection_log_ratio(self.x, prior, precision="bogus")
+        with pytest.raises(DomainError):
+            log_simo_signal_likelihood(self.x, self.s2, precision="bogus")
+
+
 class TestScalarIsBatchRow:
     """The scalar statistics are the batch kernels at B=1, bit for bit."""
 
@@ -445,20 +481,19 @@ class TestScalarIsBatchRow:
 
     @pytest.mark.parametrize("n, L, n_bounded4", [(4, 8, 4), (6, 9, 2)])
     def test_detection_log_ratio_equals_batch_row(self, n, L, n_bounded4):
-        # Each spectrum is its own batch: the J kernel reduces its quadrature
-        # panels with a BLAS matrix-vector product, whose last bit can depend
-        # on a row's position in a larger batch.
+        # All of a prior's spectra form one batch, so a scalar call must
+        # equal its row wherever that row sits in the batch.
         grid = NoiseGrid(-5.0, 5.0, 11, "db")
         priors = [(ExactCount(1), ExactNoise(1.3), 60), (ExactCount(2), ExactNoise(1.3), 60),
                   (ExactCount(1), grid, 40), (BoundedCount(2), grid, 40),
                   (BoundedCount(4), grid, n_bounded4)]
         for count, noise, n_rows in priors:
             prior = PriorConfig(count, noise)
-            for row in self._spectra(n, L, n_rows, seed=n):
-                stats, bad, _ = _batch_fast_stats(row[None, :], L, prior)
-                if not bad[0]:
-                    got = detection_log_ratio(EigenSpectrum(row, L), prior)
-                    assert got.log_ratio.log_magnitude == stats[0], (prior, row)
+            vals = self._spectra(n, L, n_rows, seed=n)
+            stats, bad, _ = _batch_fast_stats(vals, L, prior)
+            for row, stat in zip(vals[~bad], stats[~bad]):
+                got = detection_log_ratio(EigenSpectrum(row, L), prior)
+                assert got.log_ratio.log_magnitude == stat, (prior, row)
 
     @pytest.mark.parametrize("n, L", [(4, 8), (6, 9)])
     def test_energy_statistic_equals_batch_row(self, n, L):

@@ -326,6 +326,24 @@ class TestRunRoc:
         assert np.array_equal(serial.far, threaded.far)
         assert np.array_equal(serial.cdr, threaded.cdr)
 
+    def test_escalated_rows_equal_scalar_calls(self, monkeypatch):
+        # Four sources on four sensors at sigma2 = 10^0.9 cancel past the
+        # double-precision limit, so 5 of the 6 rows go to multiprecision;
+        # with two-trial chunks they sit on both sides of a chunk boundary.
+        monkeypatch.setattr(mc, "_ROC_CHUNK", 2)
+        s = Scenario(4, 8, 1, 0.0, 3, 11)
+        prior = PriorConfig(ExactCount(4), ExactNoise(10 ** 0.9))
+        n_extended = 0
+        for code, hyp in enumerate(("H0", "H1")):
+            stats, n_failed = mc._stats_for_hypothesis(s, code, BayesDetector(prior), 1)
+            assert n_failed == 0
+            for i in range(s.n_trials):
+                ref = detection_log_ratio(gram_eigenvalues(synthesize_observation(s, hyp, i)),
+                                          prior)
+                assert stats[i] == ref.log_ratio.log_magnitude, (hyp, i)
+                n_extended += ref.extended_used
+        assert n_extended == 5
+
     def test_small_failure_fraction_is_excluded(self, monkeypatch):
         real_fast = mc._batch_fast_stats
 
@@ -336,7 +354,7 @@ class TestRunRoc:
             bad[0] = True
             return stats, bad, n_pert
 
-        def failing_retry(vals, L, prior, stats, rows, precision):
+        def failing_retry(vals, L, prior, stats, rows):
             return np.ones(len(rows), dtype=bool), 0
 
         monkeypatch.setattr(mc, "_batch_fast_stats", poisoned)
@@ -353,7 +371,7 @@ class TestRunRoc:
             n = vals.shape[0]
             return np.full(n, np.nan), np.ones(n, dtype=bool), 0
 
-        def failing_retry(vals, L, prior, stats, rows, precision):
+        def failing_retry(vals, L, prior, stats, rows):
             return np.ones(len(rows), dtype=bool), 0
 
         monkeypatch.setattr(mc, "_batch_fast_stats", all_bad)
