@@ -195,6 +195,8 @@ def _cmd_detect(args) -> int:
         log_thr = math.log(args.threshold)
     else:
         log_thr = 0.0
+    if not math.isfinite(log_thr):
+        raise InputError(f"the decision threshold must be finite, got ln C = {log_thr}")
     decision = "signal" if stat.decides_signal(log_thr) else "noise"
 
     result = {

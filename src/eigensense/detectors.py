@@ -6,7 +6,7 @@ Implements, all as functions of the eigenvalues x_1 >= ... >= x_N of Y Y^H:
 * the single-source (SIMO) and multi-source (MIMO, m <= N) signal
   likelihoods, assembled term-by-term in signed log arithmetic,
 * the decision ratio C = P(signal)/P(noise) for every combination of
-  known/bounded source count and known/gridded noise power,
+  known or uniformly distributed source count and known/gridded noise power,
 * the classical energy detector baseline, and
 * the source-count posterior over {0, 1, ..., m_max} sources.
 
@@ -101,10 +101,7 @@ class ExactNoise:
     sigma2: float
 
     def __post_init__(self):
-        s = float(self.sigma2)
-        if not (math.isfinite(s) and s > 0.0):
-            raise DomainError("sigma2 must be a positive finite real")
-        object.__setattr__(self, "sigma2", s)
+        object.__setattr__(self, "sigma2", _check_sigma2(self.sigma2))
 
 
 @dataclass(frozen=True)
@@ -141,6 +138,15 @@ class NoiseGrid:
         object.__setattr__(self, "sigma2_min", lo)
         object.__setattr__(self, "sigma2_max", hi)
         object.__setattr__(self, "k_points", k)
+        try:  # dB bounds far enough out put nodes or weights past a double's range
+            with np.errstate(all="ignore"):
+                nodes = np.concatenate(self.points_and_weights())
+            representable = np.all(np.isfinite(nodes) & (nodes > 0.0))
+        except OverflowError:  # a lone dB point overflows Python's float power
+            representable = False
+        if not representable:
+            raise DomainError(f"noise grid {lo}:{hi}:{k} ({self.scale}) has a sigma2 "
+                              "node or weight that is not a finite positive double")
 
     def points_and_weights(self) -> tuple[np.ndarray, np.ndarray]:
         k = self.k_points
@@ -478,12 +484,12 @@ def _log_mix(cols) -> np.ndarray:
     return cols[0] if len(cols) == 1 else logsumexp(np.stack(cols, axis=1), axis=1)
 
 
-def _log_ratio_rows(comp_logs, gvals: np.ndarray, L: int, ms, bounded: bool,
+def _log_ratio_rows(comp_logs, gvals: np.ndarray, L: int, ms,
                     points: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """ln C per row from the component log likelihoods of _component_rows.
 
-    Bounded count averages over m (uniform prior); gridded noise mixes both
-    numerator and denominator with the grid weights.
+    The source count averages over ms (a uniform prior, over one count when
+    it is exact); gridded noise mixes numerator and denominator by weight.
     """
     n = gvals.shape[1]
     log_w = [math.log(w) for w in weights]
@@ -491,8 +497,7 @@ def _log_ratio_rows(comp_logs, gvals: np.ndarray, L: int, ms, bounded: bool,
     gsum = gvals.sum(axis=1)
     den = _log_mix([lw + _noise_ll_from_values(gsum, n, L, float(p))
                     for p, lw in zip(points, log_w)])
-    extra = -math.log(len(ms)) if bounded else 0.0
-    return num + extra - den
+    return num - math.log(len(ms)) - den
 
 
 # ---------------------------------------------------------------------------
@@ -581,10 +586,8 @@ def log_mimo_signal_likelihood(x: EigenSpectrum, m: int, sigma2: float, *,
 def _expand_prior(prior: PriorConfig, n_sensors: int):
     if isinstance(prior.source_count, ExactCount):
         ms = [prior.source_count.m]
-        bounded = False
     else:
         ms = list(range(1, prior.source_count.m_max + 1))
-        bounded = True
     if max(ms) > n_sensors:
         raise DomainError(
             f"prior allows m={max(ms)} sources but the spectrum has only N={n_sensors}")
@@ -593,19 +596,18 @@ def _expand_prior(prior: PriorConfig, n_sensors: int):
         weights = np.array([1.0])
     else:
         points, weights = prior.noise.points_and_weights()
-    return ms, bounded, points, weights
+    return ms, points, weights
 
 
-def _marginal_statistic(gvals: np.ndarray, L: int, ms, bounded: bool,
-                        points: np.ndarray, weights: np.ndarray,
-                        precision: str):
+def _marginal_statistic(gvals: np.ndarray, L: int, ms, points: np.ndarray,
+                        weights: np.ndarray, precision: str):
     """ln C from guarded values for an expanded prior: the batch combine at B=1.
 
     Returns (SignedLog, worst CancellationReport, extended_used).
     """
     rows, extended = _components_at_one(gvals, L, ms, points, precision)
     stat = _log_ratio_rows([np.array([r[1]]) for r in rows],
-                           gvals[None, :], L, ms, bounded, points, weights)
+                           gvals[None, :], L, ms, points, weights)
     _, log_mag, peak, digits = max(rows, key=lambda r: r[3])
     return (SignedLog(1, float(stat[0])), CancellationReport(peak, log_mag, digits),
             extended)
@@ -615,16 +617,15 @@ def detection_log_ratio(x: EigenSpectrum, prior: PriorConfig, *,
                         precision: str = "standard") -> DetectionStatistic:
     """ln C = ln P(Y | signal prior) - ln P(Y | noise prior) as a statistic.
 
-    Dispatches on the prior: exact or bounded source count, exact or gridded
-    noise power.  Bounded count averages the per-m likelihoods (uniform
-    prior); gridded noise mixes both numerator and denominator with the grid
-    weights.  The result sign is always +1; anything else raises.
+    The signal likelihood averages over the prior's source counts; gridded
+    noise mixes both numerator and denominator with the grid weights.  The
+    result sign is always +1; anything else raises.
     """
-    ms, bounded, points, weights = _expand_prior(prior, x.n_sensors)
+    ms, points, weights = _expand_prior(prior, x.n_sensors)
     sigma_ref = float(points[0])
     gvals, perturbed = _prepare_spectrum(x, sigma_ref)
     stat, report, extended = _marginal_statistic(
-        gvals, x.n_snapshots, ms, bounded, points, weights, precision)
+        gvals, x.n_snapshots, ms, points, weights, precision)
     return DetectionStatistic(stat, "bayes", report, extended, perturbed)
 
 
@@ -699,13 +700,13 @@ def _batch_fast_stats(vals: np.ndarray, L: int, prior: PriorConfig):
     """
     b, n = vals.shape
     _check_bayes_shape(n, L)
-    ms, bounded, points, weights = _expand_prior(prior, n)
+    ms, points, weights = _expand_prior(prior, n)
     gvals, pert_mask = _guard_values_batch(vals)
     rows = _component_rows(gvals, L, ms, points)
     bad = np.zeros(b, dtype=bool)
     for sign, log_mag, _, digits in rows:
         bad |= ~_accepted(sign, log_mag, digits)
-    stats = _log_ratio_rows([r[1] for r in rows], gvals, L, ms, bounded, points, weights)
+    stats = _log_ratio_rows([r[1] for r in rows], gvals, L, ms, points, weights)
     return stats, bad, int(pert_mask.sum())
 
 

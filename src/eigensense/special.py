@@ -151,7 +151,8 @@ def _signed_lse_rows(signs: np.ndarray, logmags: np.ndarray):
     safe = np.where(nonzero, np.abs(total), 1.0)
     with np.errstate(divide="ignore"):
         log_mag = np.where(nonzero, peak + np.log(safe), -np.inf)
-    digits = np.where(nonzero, np.maximum(0.0, -np.log(safe) / _LN10), np.inf)
+    # + 0.0 turns the -0.0 of a sum that never shrank (-log(1) / ln 10) into +0.0.
+    digits = np.where(nonzero, np.maximum(0.0, -np.log(safe) / _LN10) + 0.0, np.inf)
     digits = np.where(finite_peak, digits, 0.0)
     sign = np.where(finite_peak, np.sign(total), 0.0)
     log_mag = np.where(finite_peak, log_mag, -np.inf)
@@ -286,18 +287,13 @@ def _log_j_batch(k: float, x: float, y: np.ndarray) -> np.ndarray:
     if needs_left.any():
         a_cut = np.where(needs_left, _bisect_cut(a_cut, u_pk, kp1, y, target), a0)
 
-    # Seed panels: split at the peak when it lies strictly inside (a, b).
-    interior = (u_pk > a_cut) & (u_pk < b_cut)
-    owners = []
-    plos = []
-    phis = []
-    idx = np.arange(n)
-    owners.append(idx[interior]); plos.append(a_cut[interior]); phis.append(u_pk[interior])
-    owners.append(idx[interior]); plos.append(u_pk[interior]); phis.append(b_cut[interior])
-    owners.append(idx[~interior]); plos.append(a_cut[~interior]); phis.append(b_cut[~interior])
-    owner = np.concatenate(owners)
-    plo = np.concatenate(plos)
-    phi = np.concatenate(phis)
+    # Seed panels [a, peak] and [peak, b].  Since a <= peak < b, only the
+    # first panel of a peak on the lower cut is empty, and it is dropped.
+    owner = np.repeat(np.arange(n), 2)
+    plo = np.column_stack([a_cut, u_pk]).ravel()
+    phi = np.column_stack([u_pk, b_cut]).ravel()
+    seeded = plo < phi
+    owner, plo, phi = owner[seeded], plo[seeded], phi[seeded]
 
     width_total = b_cut - a_cut
     acc = np.zeros(n)

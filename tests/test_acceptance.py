@@ -6,11 +6,9 @@ carries one line per criterion.  Monte Carlo scenarios reuse module-scoped
 curves where two criteria share them.
 """
 
-import itertools
 import math
 import time
 
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -40,6 +38,7 @@ from eigensense import (
 )
 from eigensense.montecarlo import _exact_n1_log, _synthesize_block
 from eigensense.spectra import _gram_eigenvalues_batch
+from mp_reference import mp_two_source_logpdf
 
 
 def _cdr_at(curve, far_target: float) -> float:
@@ -165,38 +164,6 @@ def test_criterion_3_single_source_oracles(criterion):
     assert ok
 
 
-def _mp_j(k, x, y, dps=50):
-    with mp.workdps(dps):
-        f = lambda t: t ** k * mp.e ** (-t - y / t)
-        return mp.quad(f, [x, 2 * x + 10, mp.inf])
-
-
-def _mp_two_source_logpdf(values, L, sigma2, dps=50):
-    """The two-source closed form assembled from scratch with mpmath."""
-    with mp.workdps(dps):
-        xs = [mp.mpf(float(v)) for v in values]
-        n = len(xs)
-        s2 = mp.mpf(float(sigma2))
-        total = mp.mpf(0)
-        for a1, a2 in itertools.permutations(range(n), 2):
-            d1 = mp.mpf(1)
-            for j in range(n):
-                if j != a1:
-                    d1 *= xs[a1] - xs[j]
-            d2 = mp.mpf(1)
-            for j in range(n):
-                if j not in (a1, a2):
-                    d2 *= xs[a2] - xs[j]
-            inner = (_mp_j(n - L, 2 * s2, 2 * xs[a1], dps)
-                     * _mp_j(n - L - 1, 2 * s2, 2 * xs[a2], dps)
-                     - _mp_j(n - L - 1, 2 * s2, 2 * xs[a1], dps)
-                     * _mp_j(n - L, 2 * s2, 2 * xs[a2], dps))
-            total += mp.e ** ((xs[a1] + xs[a2]) / s2) / (d1 * d2) * inner
-        pref = ((2 * L - 1) * mp.log(2) + 4 * s2 - sum(xs) / s2 - mp.log(2)
-                - (n - 2) * (L - 2) * mp.log(s2) - n * L * mp.log(mp.pi))
-        return float(pref + mp.log(total))
-
-
 def test_criterion_4_two_source_oracles(criterion):
     started = time.perf_counter()
     rng = np.random.default_rng(44)
@@ -233,7 +200,7 @@ def test_criterion_4_two_source_oracles(criterion):
             continue
         sigma2 = float(rng.uniform(0.6, 1.6))
         got = log_mimo_signal_likelihood(EigenSpectrum(vals, L), 2, sigma2).log_magnitude
-        ref = _mp_two_source_logpdf(vals, L, sigma2)
+        ref = mp_two_source_logpdf(vals, L, sigma2)
         worst_expl = max(worst_expl, abs(math.expm1(got - ref)))
         done += 1
     elapsed = time.perf_counter() - started

@@ -88,6 +88,17 @@ class TestDetect:
         assert lo["result"]["decision"] == "signal"
         assert main(["detect", "--input", obs, "--sigma2", "1.0",
                      "--threshold", "-2.0"]) == 2
+        # A non-finite threshold would be written as non-strict JSON.
+        for flag, value in (("--threshold", "inf"), ("--threshold-db", "nan"),
+                            ("--threshold-db", "inf")):
+            assert main(["detect", "--input", obs, "--sigma2", "1.0", flag, value]) == 2
+
+    def test_one_sensor_reports_positive_zero_digits(self, tmp_path):
+        # One eigenvalue gives a one-term sum that cannot cancel.
+        obs = _write_eigs(tmp_path, [2.5], 4)
+        report = _detect_json(tmp_path, ["detect", "--input", obs, "--sigma2", "1"])
+        digits = report["result"]["cancellation_digits"]
+        assert math.copysign(1.0, digits) == 1.0 and digits == 0.0
 
     def test_majority_positive_under_signal(self, tmp_path):
         # At 0 dB with N=4, L=8 most H1 trials should favour the signal.
@@ -281,6 +292,13 @@ class TestExitCodes:
                      "--sigma2", "1.0"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_unrepresentable_db_grid_exits_two(self, tmp_path, capsys):
+        obs = _write_eigs(tmp_path, [3.0, 1.0], 6)
+        code = main(["detect", "--input", obs, "--sigma2-range=-300:3000:12",
+                     "--grid-scale", "db"])
+        assert code == 2
+        assert "-300.0:3000.0:12" in capsys.readouterr().err
 
     def test_domain_error_exits_two(self, tmp_path, capsys):
         # More snapshots than sensors is required by the Bayesian detectors.

@@ -1,14 +1,14 @@
 """Tests for the closed-form detectors.
 
 The reference values here are computed three independent ways: by hand for
-the noise likelihood and energy statistic, and through small in-test
-assemblies of the one-source and two-source closed forms evaluated with
-mpmath quadrature for the signal likelihoods.  The in-test assemblies
-deliberately share no code with the package internals.
+the noise likelihood and energy statistic, and through the mpmath assemblies
+of the one-source and two-source closed forms in mp_reference for the signal
+likelihoods.  Those assemblies deliberately share no code with the package
+internals.
 """
 
-import itertools
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -37,60 +37,7 @@ from eigensense.detectors import (
     _marginal_statistic,
 )
 from eigensense.spectra import _gram_eigenvalues_batch
-
-
-def _mp_j(k, x, y, dps=50):
-    """Incomplete integral of t^k e^(-t - y/t) on [x, inf) via mpmath."""
-    with mp.workdps(dps):
-        f = lambda t: t ** k * mp.e ** (-t - y / t)
-        return mp.quad(f, [x, 2 * x + 10, mp.inf])
-
-
-def _mp_one_source_logpdf(values, L, sigma2, dps=50):
-    """ln P(Y | one source) assembled directly from the closed form."""
-    with mp.workdps(dps):
-        xs = [mp.mpf(float(v)) for v in values]
-        n = len(xs)
-        s2 = mp.mpf(float(sigma2))
-        total = mp.mpf(0)
-        for l in range(n):
-            denom = mp.mpf(1)
-            for i in range(n):
-                if i != l:
-                    denom *= xs[l] - xs[i]
-            total += mp.e ** (xs[l] / s2) / denom * _mp_j(n - L - 1, s2, xs[l], dps)
-        pref = (s2 - sum(xs) / s2 - n * L * mp.log(mp.pi)
-                - (n - 1) * (L - 1) * mp.log(s2))
-        return float(pref + mp.log(total))
-
-
-def _mp_two_source_logpdf(values, L, sigma2, dps=50):
-    """ln P(Y | two sources) assembled directly from the closed form."""
-    with mp.workdps(dps):
-        xs = [mp.mpf(float(v)) for v in values]
-        n = len(xs)
-        s2 = mp.mpf(float(sigma2))
-
-        def j(k, y):
-            return _mp_j(k, 2 * s2, 2 * y, dps)
-
-        total = mp.mpf(0)
-        for a1, a2 in itertools.permutations(range(n), 2):
-            d1 = mp.mpf(1)
-            for jj in range(n):
-                if jj != a1:
-                    d1 *= xs[a1] - xs[jj]
-            d2 = mp.mpf(1)
-            for jj in range(n):
-                if jj not in (a1, a2):
-                    d2 *= xs[a2] - xs[jj]
-            inner = (j(n - L, xs[a1]) * j(n - L - 1, xs[a2])
-                     - j(n - L - 1, xs[a1]) * j(n - L, xs[a2]))
-            total += mp.e ** ((xs[a1] + xs[a2]) / s2) / (d1 * d2) * inner
-        pref = ((2 * L - 1) * mp.log(2) + 4 * s2 - sum(xs) / s2
-                - mp.log(2) - (n - 2) * (L - 2) * mp.log(s2)
-                - n * L * mp.log(mp.pi))
-        return float(pref + mp.log(total))
+from mp_reference import mp_j, mp_one_source_logpdf, mp_two_source_logpdf
 
 
 class TestNoiseLikelihood:
@@ -130,7 +77,7 @@ class TestOneSourceLikelihood:
                 continue
             sigma2 = float(rng.uniform(0.4, 2.5))
             got = log_simo_signal_likelihood(EigenSpectrum(vals, L), sigma2)
-            ref = _mp_one_source_logpdf(vals, L, sigma2)
+            ref = mp_one_source_logpdf(vals, L, sigma2)
             assert got.sign == 1
             assert got.log_magnitude == pytest.approx(ref, abs=1e-11)
 
@@ -142,7 +89,7 @@ class TestOneSourceLikelihood:
         with mp.workdps(50):
             s2 = mp.mpf("1.25")
             ref = float(s2 - vals[0] / s2 - L * mp.log(mp.pi)
-                        + vals[0] / s2 + mp.log(_mp_j(-L, s2, vals[0])))
+                        + vals[0] / s2 + mp.log(mp_j(-L, s2, vals[0], 50)))
         assert got.log_magnitude == pytest.approx(ref, abs=1e-11)
 
     def test_requires_more_snapshots_than_sensors(self):
@@ -176,7 +123,7 @@ class TestMultiSourceLikelihood:
                 continue
             sigma2 = float(rng.uniform(0.5, 2.0))
             got = log_mimo_signal_likelihood(EigenSpectrum(vals, L), 2, sigma2)
-            ref = _mp_two_source_logpdf(vals, L, sigma2)
+            ref = mp_two_source_logpdf(vals, L, sigma2)
             assert got.sign == 1
             assert got.log_magnitude == pytest.approx(ref, abs=1e-9)
             done += 1
@@ -254,8 +201,8 @@ class TestDetectionRatio:
         gvals, _ = _guard_values(x.sorted_descending())
         points = np.array([0.7, 1.0, 1.6])
         w = np.array([0.2, 0.5, 0.3])
-        s1, _, _ = _marginal_statistic(gvals, 7, [1], False, points, w, "standard")
-        s2, _, _ = _marginal_statistic(gvals, 7, [1], False, points, 5.0 * w, "standard")
+        s1, _, _ = _marginal_statistic(gvals, 7, [1], points, w, "standard")
+        s2, _, _ = _marginal_statistic(gvals, 7, [1], points, 5.0 * w, "standard")
         assert s1.log_magnitude == pytest.approx(s2.log_magnitude, abs=1e-12)
 
     def test_permutation_invariance_bit_exact(self):
@@ -409,6 +356,16 @@ class TestPriorValidation:
             NoiseGrid(1.0, 2.0, 4, "octave")
         # dB bounds may be negative (they are logarithmic).
         NoiseGrid(-6.0, 3.0, 5, "db")
+
+    @pytest.mark.parametrize("lo, hi, k", [(0.0, 4000.0, 2), (-300.0, 3000.0, 12),
+                                           (4000.0, 4000.0, 1), (-4000.0, -3990.0, 2)])
+    def test_db_grid_beyond_doubles_is_rejected(self, lo, hi, k):
+        # Nodes or cell edges that overflow to inf or underflow to 0 are
+        # refused at construction, naming the bounds, without a warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"{lo}:{hi}:{k}"):
+                NoiseGrid(lo, hi, k, "db")
 
     def test_linear_grid_points(self):
         g = NoiseGrid(1.0, 3.0, 4)

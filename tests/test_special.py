@@ -17,17 +17,7 @@ from eigensense import (
     signed_log_sum,
 )
 from eigensense.special import _log_j_batch, _log_j_segment_mp
-
-
-def mp_j_reference(k, x, y, dps=60):
-    """Independent high-precision J_k(x, y) by direct quadrature in t."""
-    with mp.workdps(dps):
-        f = lambda t: t ** mp.mpf(k) * mp.e ** (-t - mp.mpf(y) / t)
-        kp1 = mp.mpf(k) + 1
-        s = mp.sqrt(kp1 * kp1 + 4 * mp.mpf(y))
-        tstar = (kp1 + s) / 2 if kp1 >= 0 else (2 * mp.mpf(y)) / (s - kp1)
-        pts = [mp.mpf(x), tstar, mp.inf] if tstar > x else [mp.mpf(x), mp.inf]
-        return mp.quad(f, pts)
+from mp_reference import mp_j
 
 
 class TestSignedLog:
@@ -92,6 +82,10 @@ class TestSignedLogSum:
         assert total.sign == 1
         assert 5.5 < report.cancellation_digits < 6.5
 
+    def test_unshrunk_sum_reports_positive_zero_digits(self):
+        _, report = signed_log_sum([SignedLog(1, 0.0)])
+        assert math.copysign(1.0, report.cancellation_digits) == 1.0
+
     def test_empty_sums_to_zero(self):
         total, report = signed_log_sum([])
         assert total.sign == 0 and report.cancellation_digits == 0.0
@@ -117,7 +111,7 @@ class TestJIntegral:
         for k, x, y in [(0, 1.0, 1.0), (-5, 0.5, 3.0), (2, 2.0, 0.1),
                         (-12, 5.0, 0.1), (6, 0.1, 100.0)]:
             got = j_integral(k, x, y).log_magnitude
-            ref = float(mp.log(mp_j_reference(k, x, y)))
+            ref = float(mp.log(mp_j(k, x, y)))
             assert got == pytest.approx(ref, abs=5e-11), (k, x, y)
 
     def test_extended_matches_standard(self):
@@ -215,13 +209,13 @@ class TestJViaBessel:
     def test_spot_points_against_reference(self):
         for k, x, y in [(0, 1.0, 1.0), (-5, 0.5, 3.0), (2, 2.0, 0.1)]:
             got = j_via_bessel(k, x, y)
-            ref = float(mp_j_reference(k, x, y))
+            ref = float(mp_j(k, x, y))
             assert got == pytest.approx(ref, rel=1e-10), (k, x, y)
 
     def test_survives_heavy_cancellation(self):
         # At k=-12, x=5, y=0.1 the two identity terms agree to ~29 digits.
         got = j_via_bessel(-12, 5.0, 0.1)
-        ref = float(mp_j_reference(-12, 5.0, 0.1, dps=80))
+        ref = float(mp_j(-12, 5.0, 0.1, dps=80))
         assert got == pytest.approx(ref, rel=1e-10)
 
     def test_rejects_y_zero(self):
