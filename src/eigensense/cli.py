@@ -295,6 +295,8 @@ def _table_lemma_rows(seed: int):
 
 
 def _cmd_table(args) -> int:
+    if args.seed < 0:
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
     j_rows = _table_j_rows()
     lemma_rows = _table_lemma_rows(args.seed)
     max_j = max(r["rel_deviation"] for r in j_rows)

@@ -3,8 +3,8 @@
 Implements, all as functions of the eigenvalues x_1 >= ... >= x_N of Y Y^H:
 
 * the pure-noise log likelihood,
-* the single-source (SIMO) and multi-source (MIMO, m <= N) signal
-  likelihoods, assembled term-by-term in signed log arithmetic,
+* the signal likelihood of m <= N sources (MIMO), assembled term-by-term
+  in signed log arithmetic; one source (SIMO) is the same sum at m=1,
 * the decision ratio C = P(signal)/P(noise) for every combination of
   known or uniformly distributed source count and known/gridded noise power,
 * the classical energy detector baseline, and
@@ -12,7 +12,8 @@ Implements, all as functions of the eigenvalues x_1 >= ... >= x_N of Y Y^H:
 
 Each statistic has one evaluation path: the batch kernels (guard, signal
 components per (m, sigma2), logsumexp combine, energy) run on (B, N) stacks,
-and the scalar API runs them at B=1, bit for bit.
+and the scalar API runs them at B=1, bit for bit.  One source is the
+m-source sum at m=1.
 
 The alternating sums in the closed forms can cancel catastrophically when
 eigenvalues cluster, so every component tracks its cancellation severity; one
@@ -22,6 +23,7 @@ sign is flagged in a batch and re-run in multiprecision on the scalar path.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -303,36 +305,17 @@ def log_noise_likelihood(x: EigenSpectrum, sigma2: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# SIMO signal likelihood (single source)
+# Signal likelihood (m sources, m <= N; one source is m=1)
 # ---------------------------------------------------------------------------
 
-def _log_gaps(gvals: np.ndarray):
-    """(log|x_i - x_j|, sign(x_i - x_j)) over a (B, N) stack, as (B, N, N)
-    arrays holding 0 and +1 on the diagonal."""
-    n = gvals.shape[1]
-    diffs = gvals[:, :, None] - gvals[:, None, :]
-    eye = np.eye(n, dtype=bool)
-    absd = np.abs(diffs)
-    absd[:, eye] = 1.0
-    sgn = np.sign(diffs)
-    sgn[:, eye] = 1.0
-    return np.log(absd), sgn
-
-
-def _simo_batch(gvals: np.ndarray, L: int, sigma2: float):
-    """ln P(Y | one source) over a (B, N) stack of guarded descending spectra."""
+def _log_gaps(gvals: np.ndarray) -> np.ndarray:
+    """log|x_i - x_j| over a (B, N) stack, flattened to (B, N*N) with index
+    i*N + j; the diagonal holds 0."""
     b, n = gvals.shape
-    jlog = _log_j_batch(n - L - 1, sigma2, gvals.ravel()).reshape(b, n)
-    logabs, sgn = _log_gaps(gvals)
-    logmags = gvals / sigma2 + jlog - logabs.sum(axis=2)
-    sign, log_mag, peak, digits = _signed_lse_rows(sgn.prod(axis=2), logmags)
-    pref = _mimo_prefactor_rows(gvals, L, 1, sigma2)
-    return sign, log_mag + pref, peak + pref, digits
+    absd = np.abs(gvals[:, :, None] - gvals[:, None, :]).reshape(b, n * n)
+    absd[:, :: n + 1] = 1.0
+    return np.log(absd)
 
-
-# ---------------------------------------------------------------------------
-# MIMO signal likelihood (m sources, m <= N)
-# ---------------------------------------------------------------------------
 
 def _perm_sign(perm) -> int:
     inversions = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
@@ -340,28 +323,50 @@ def _perm_sign(perm) -> int:
     return -1 if inversions % 2 else 1
 
 
+@functools.lru_cache(maxsize=None)
 def _mimo_tables(n: int, m: int):
-    """Term tables of the m-source sum, shared by the double and mpmath paths.
+    """Gather tables of the m-source sum, shared by the double and mpmath paths.
 
-    (tuples, keeps, bperms, signs): the ordered m-tuples a; per a_i the
-    indices it is differenced against (all but a_1..a_i); the permutations b
-    of the J orders 1..m; and b's parity times the global (-1)^(m(m-1)/2),
-    which makes the likelihood positive.
+    The terms are the ordered m-tuples a of distinct sensor indices, each with
+    every permutation b of the J orders 1..m, tuple-major.  Read-only arrays:
+
+    * tuples (T, m): the tuples a;
+    * gaps: per i < m, the (T, N-1-i) flat gap indices a_i*N + j over the j
+      not in a_1..a_i, which divide the term;
+    * jcols (m, T*P): per l < m, the flat J index (b_l - 1)*N + a_l of every
+      term;
+    * signs (T*P,): b's parity times the global (-1)^(m(m-1)/2), which makes
+      the likelihood positive, times the signs of the term's gaps, which the
+      descending order of the spectrum fixes.
     """
     tuples = list(itertools.permutations(range(n), m))
-    keeps = [[[j for j in range(n) if j not in a[: i + 1]] for i in range(m)]
-             for a in tuples]
-    bperms = list(itertools.permutations(range(1, m + 1)))
+    perms = list(itertools.permutations(range(m)))
     sign_pref = -1 if (m * (m - 1) // 2) % 2 else 1
-    return tuples, keeps, bperms, [sign_pref * _perm_sign(p) for p in bperms]
+    gaps = [[] for _ in range(m)]
+    signs = []
+    for a in tuples:
+        gap_sign = sign_pref
+        for i in range(m):
+            keep = [j for j in range(n) if j not in a[: i + 1]]
+            gaps[i].append([a[i] * n + j for j in keep])
+            gap_sign *= -1 if sum(j < a[i] for j in keep) % 2 else 1
+        signs += [gap_sign * _perm_sign(p) for p in perms]
+    jcols = [[p[l] * n + a[l] for a in tuples for p in perms] for l in range(m)]
+    gaps = tuple(np.array(g, dtype=np.intp).reshape(len(tuples), n - 1 - i)
+                 for i, g in enumerate(gaps))
+    tables = (np.array(tuples, dtype=np.intp), gaps, np.array(jcols, dtype=np.intp),
+              np.array(signs, dtype=float))
+    for arr in (tables[0], *gaps, *tables[2:]):
+        arr.setflags(write=False)
+    return tables
 
 
 def _mimo_prefactor_rows(gvals: np.ndarray, L: int, m: int, sigma2: float) -> np.ndarray:
     # Leading constant is 1/m! (each m-subset of sensors appears m! times in
     # the ordered-tuple sum); validated against the Monte Carlo oracle at
-    # (N=3, m=2) and (N=4, m=2) and against the m=1 reduction.  At m=1 it is
-    # the one-source constant, fixed against three independent oracles (Monte
-    # Carlo channel averaging, and direct quadrature at N=1 and N=2).
+    # (N=3, m=2) and (N=4, m=2).  At m=1 it is the one-source constant, fixed
+    # against three independent oracles (Monte Carlo channel averaging, and
+    # direct quadrature at N=1 and N=2).
     b, n = gvals.shape
     const = (-math.lgamma(m + 1)
              + 0.5 * m * (2 * L - m + 1) * math.log(m)
@@ -377,41 +382,33 @@ def _mimo_batch(gvals: np.ndarray, L: int, m: int, sigma2: float):
 
     Outer sum over ordered m-tuples a of distinct sensor indices; inner
     alternating sum over permutations b of {1..m} of products
-    J_{N-L-2+b_l}(m sigma2, m x_{a_l}); everything in signed log space.
+    J_{N-L-2+b_l}(m sigma2, m x_{a_l}); everything in signed log space, every
+    term gathered through _mimo_tables.  One source is m=1.
     """
     b, n = gvals.shape
-    jlogs = [
-        _log_j_batch(n - L - 2 + j, m * sigma2, (m * gvals).ravel()).reshape(b, n)
-        for j in range(1, m + 1)
-    ]
-    logabs, sgn = _log_gaps(gvals)
-
-    tuples, keeps, bperms, bsigns = _mimo_tables(n, m)
-    col_logs = []
-    col_signs = []
-    for a, keep_a in zip(tuples, keeps):
-        dlog = np.zeros(b)
-        dsgn = np.ones(b)
-        for i, keep in enumerate(keep_a):
-            dlog += logabs[:, a[i], keep].sum(axis=1)
-            dsgn *= sgn[:, a[i], keep].prod(axis=1)
-        eterm = gvals[:, list(a)].sum(axis=1) / sigma2
-        for sign, bp in zip(bsigns, bperms):
-            jl = np.zeros(b)
-            for l in range(m):
-                jl += jlogs[bp[l] - 1][:, a[l]]
-            col_logs.append(eterm + jl - dlog)
-            col_signs.append(sign * dsgn)
-
-    logmags = np.stack(col_logs, axis=1)
-    signs = np.stack(col_signs, axis=1)
-    sign, log_mag, peak, digits = _signed_lse_rows(signs, logmags)
+    tuples, gaps, jcols, signs = _mimo_tables(n, m)
+    my = (m * gvals).ravel()
+    jlog = np.concatenate([_log_j_batch(n - L - 2 + j, m * sigma2, my).reshape(b, n)
+                           for j in range(1, m + 1)], axis=1)
+    logabs = _log_gaps(gvals)
+    # From 0, left to right over gap groups and J factors: the order fixes the bits.
+    dlog = sum(logabs[:, g].sum(axis=2) for g in gaps)
+    jl = sum(jlog[:, c] for c in jcols).reshape(b, len(tuples), -1)
+    eterm = gvals[:, tuples].sum(axis=2) / sigma2
+    logmags = ((eterm[:, :, None] + jl) - dlog[:, :, None]).reshape(b, -1)
+    sign, log_mag, peak, digits = _signed_lse_rows(signs[None, :].repeat(b, axis=0), logmags)
     pref = _mimo_prefactor_rows(gvals, L, m, sigma2)
     return sign, log_mag + pref, peak + pref, digits
 
 
+def _simo_batch(gvals: np.ndarray, L: int, sigma2: float):
+    """_mimo_batch at m=1.  Nothing in the package calls it; it stays only
+    because perfbench/spans.py wraps it by name (ROADMAP item 2 removes it)."""
+    return _mimo_batch(gvals, L, 1, sigma2)
+
+
 # ---------------------------------------------------------------------------
-# Multiprecision fallback (shared by SIMO and MIMO; m=1 reduces exactly)
+# Multiprecision fallback (the same term tables as _mimo_batch)
 # ---------------------------------------------------------------------------
 
 def _signal_mp(gvals: np.ndarray, L: int, m: int, sigma2: float, dps: int):
@@ -421,35 +418,32 @@ def _signal_mp(gvals: np.ndarray, L: int, m: int, sigma2: float, dps: int):
     the prefactor are the double path's.
     """
     n = gvals.size
-    tuples, keeps, bperms, bsigns = _mimo_tables(n, m)
+    tuples, gaps, jcols, signs = _mimo_tables(n, m)
+    n_perms = jcols.shape[1] // len(tuples)
     pref = float(_mimo_prefactor_rows(gvals[None, :], L, m, sigma2)[0])
     with mp.workdps(dps):
         s2 = mp.mpf(sigma2)
         xs = [mp.mpf(float(v)) for v in gvals]
+        if len(set(xs)) < n:
+            raise DegeneracyError("degenerate spectrum reached the multiprecision path")
         u_lo = mp.log(m * s2)
-        jlog = [[_log_j_segment_mp(n - L - 2 + j, m * x, u_lo, mp.inf, dps) for x in xs]
-                for j in range(1, m + 1)]
+        jlog = [_log_j_segment_mp(n - L - 2 + j, m * x, u_lo, mp.inf, dps)
+                for j in range(1, m + 1) for x in xs]
+        logabs = [mp.log(abs(xs[i] - xs[j])) if i != j else mp.mpf(0)
+                  for i in range(n) for j in range(n)]
 
         term_logs = []
-        term_signs = []
-        for a, keep_a in zip(tuples, keeps):
+        for t, a in enumerate(tuples.tolist()):
             dlog = mp.mpf(0)
-            dsgn = 1
-            for i, keep in enumerate(keep_a):
-                for j in keep:
-                    d = xs[a[i]] - xs[j]
-                    if d == 0:
-                        raise DegeneracyError("degenerate spectrum reached the multiprecision path")
-                    dlog += mp.log(abs(d))
-                    dsgn = dsgn if d > 0 else -dsgn
+            for g in gaps:
+                for k in g[t].tolist():
+                    dlog += logabs[k]
             eterm = mp.fsum(xs[i] for i in a) / s2
-            for sign, bp in zip(bsigns, bperms):
-                jl = mp.fsum(jlog[bp[l] - 1][a[l]] for l in range(m))
-                term_logs.append(eterm + jl - dlog)
-                term_signs.append(sign * dsgn)
+            for c in jcols[:, t * n_perms:(t + 1) * n_perms].T.tolist():
+                term_logs.append(eterm + mp.fsum(jlog[k] for k in c) - dlog)
 
         peak = max(term_logs)
-        total = mp.fsum(s * mp.exp(lm - peak) for s, lm in zip(term_signs, term_logs))
+        total = mp.fsum(s * mp.exp(lm - peak) for s, lm in zip(signs.tolist(), term_logs))
         if total == 0:
             return 0, -math.inf, float(peak + pref), math.inf
         log_mag = peak + mp.log(abs(total)) + pref
@@ -461,16 +455,13 @@ def _signal_mp(gvals: np.ndarray, L: int, m: int, sigma2: float, dps: int):
 # Signal components and the ln C combine, shared by every batch size
 # ---------------------------------------------------------------------------
 
-def _component_rows(gvals: np.ndarray, L: int, ms, points, mimo_path: bool = False):
+def _component_rows(gvals: np.ndarray, L: int, ms, points):
     """ln P(Y | m sources, sigma2) for every (m, sigma2) pair, m-major.
 
     gvals is a (B, N) stack of guarded descending spectra.  Each entry is the
-    (sign, log_mag, peak, digits) rows of _simo_batch, or of _mimo_batch for
-    m > 1 or when mimo_path is set.
+    (sign, log_mag, peak, digits) rows of _mimo_batch.
     """
-    return [_mimo_batch(gvals, L, m, float(p)) if m > 1 or mimo_path
-            else _simo_batch(gvals, L, float(p))
-            for m in ms for p in points]
+    return [_mimo_batch(gvals, L, m, float(p)) for m in ms for p in points]
 
 
 def _accepted(sign, log_mag, digits):
@@ -523,8 +514,7 @@ def _signal_from_guarded(gvals: np.ndarray, L: int, m: int, sigma2: float,
         f"(N={gvals.size}, L={L}, m={m}, sigma2={sigma2})")
 
 
-def _components_at_one(gvals: np.ndarray, L: int, ms, points, precision: str,
-                       mimo_path: bool = False):
+def _components_at_one(gvals: np.ndarray, L: int, ms, points, precision: str):
     """_component_rows for one guarded spectrum: (rows, extended_used).
 
     Each row is a component's (sign, log_mag, peak, digits) as floats.
@@ -535,7 +525,7 @@ def _components_at_one(gvals: np.ndarray, L: int, ms, points, precision: str,
         raise DomainError(f"unknown precision mode {precision!r}")
     batch = None
     if precision == "standard":
-        batch = _component_rows(gvals[None, :], L, ms, points, mimo_path)
+        batch = _component_rows(gvals[None, :], L, ms, points)
     rows = []
     extended = False
     for i, (m, p) in enumerate(itertools.product(ms, points)):
@@ -560,9 +550,7 @@ def _prepare_spectrum(x: EigenSpectrum, sigma2: float) -> tuple[np.ndarray, bool
 def log_simo_signal_likelihood(x: EigenSpectrum, sigma2: float, *,
                                precision: str = "standard") -> SignedLog:
     """ln P(Y | one source, noise power sigma2) as a SignedLog (sign +1)."""
-    gvals, _ = _prepare_spectrum(x, sigma2)
-    rows, _ = _components_at_one(gvals, x.n_snapshots, [1], [float(sigma2)], precision)
-    return SignedLog(1, rows[0][1])
+    return log_mimo_signal_likelihood(x, 1, sigma2, precision=precision)
 
 
 def log_mimo_signal_likelihood(x: EigenSpectrum, m: int, sigma2: float, *,
@@ -574,8 +562,7 @@ def log_mimo_signal_likelihood(x: EigenSpectrum, m: int, sigma2: float, *,
     if m > x.n_sensors:
         raise DomainError(f"m={m} sources with N={x.n_sensors} sensors is unsupported (m <= N)")
     gvals, _ = _prepare_spectrum(x, sigma2)
-    rows, _ = _components_at_one(gvals, x.n_snapshots, [m], [float(sigma2)],
-                                 precision, mimo_path=True)
+    rows, _ = _components_at_one(gvals, x.n_snapshots, [m], [float(sigma2)], precision)
     return SignedLog(1, rows[0][1])
 
 

@@ -80,6 +80,13 @@ class Scenario:
             raise DomainError("seed must fit in an unsigned 64-bit integer")
         if not math.isfinite(self.snr_db):
             raise DomainError("snr_db must be finite")
+        try:  # far enough out, Python's float power overflows
+            representable = 0.0 < self.sigma2 < math.inf
+        except OverflowError:
+            representable = False
+        if not representable:
+            raise DomainError(f"snr_db={self.snr_db} gives a noise power that is not "
+                              "a finite positive double")
 
     @property
     def sigma2(self) -> float:

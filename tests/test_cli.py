@@ -335,6 +335,22 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("detector", ["bayes", "energy"])
+    @pytest.mark.parametrize("snr_db", ["-4000", "4000"])
+    def test_unrepresentable_snr_exits_two(self, tmp_path, capsys, detector, snr_db):
+        code = main(["roc", f"--snr-db={snr_db}", "--detector", detector, "--trials", "8",
+                     "--output", str(tmp_path / "roc")])
+        assert code == 2
+        assert "noise power" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_negative_table_seed_exits_two(self, tmp_path, capsys, monkeypatch):
+        # Rejected before the J table is computed.
+        monkeypatch.setattr(cli, "_table_j_rows", lambda: pytest.fail("table computed"))
+        code = main(["table", "--seed", "-1", "--output", str(tmp_path / "t.json")])
+        assert code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_unwritable_output_exits_two(self, tmp_path, capsys):
         obs = _write_eigs(tmp_path, [3.0, 1.0], 6)
         code = main(["detect", "--input", obs, "--sigma2", "1.0",

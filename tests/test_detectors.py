@@ -22,12 +22,15 @@ from eigensense import (
     ExactNoise,
     NoiseGrid,
     PriorConfig,
+    Scenario,
     detection_log_ratio,
     energy_statistic,
+    gram_eigenvalues,
     log_mimo_signal_likelihood,
     log_noise_likelihood,
     log_simo_signal_likelihood,
     source_count_posteriors,
+    synthesize_observation,
 )
 from eigensense.detectors import (
     _batch_energy_stats,
@@ -80,6 +83,28 @@ class TestOneSourceLikelihood:
             ref = mp_one_source_logpdf(vals, L, sigma2)
             assert got.sign == 1
             assert got.log_magnitude == pytest.approx(ref, abs=1e-11)
+        # The m-source sum at m=1, on spectra with no gap filter.
+        rng = np.random.default_rng(55)
+        for _ in range(40):
+            n = int(rng.integers(2, 5))
+            L = n + int(rng.integers(1, 4))
+            vals = np.sort(rng.uniform(0.2, 8.0, size=n))[::-1]
+            sigma2 = float(rng.uniform(0.3, 3.0))
+            got = log_mimo_signal_likelihood(EigenSpectrum(vals, L), 1, sigma2)
+            ref = mp_one_source_logpdf(vals, L, sigma2)
+            assert got.log_magnitude == pytest.approx(ref, abs=1e-10)
+
+    def test_eight_sensors_match_direct_assembly(self):
+        # Eight sensors is where the gap sums run long enough for numpy's
+        # summation order to matter.
+        rng = np.random.default_rng(8)
+        for i in range(6):
+            s = Scenario(8, 12, 1, float(rng.uniform(-3.0, 3.0)), 1, 80 + i)
+            x = gram_eigenvalues(synthesize_observation(s, "H1", 0))
+            got = log_simo_signal_likelihood(x, s.sigma2)
+            ref = mp_one_source_logpdf(x.values, 12, s.sigma2)
+            assert got.sign == 1
+            assert got.log_magnitude == pytest.approx(ref, abs=1e-10)
 
     def test_single_sensor_case(self):
         # N=1 collapses to a single J term with no eigenvalue differences.
@@ -98,20 +123,6 @@ class TestOneSourceLikelihood:
 
 
 class TestMultiSourceLikelihood:
-    def test_one_source_paths_agree(self):
-        # The general m-source expression must reduce to the one-source
-        # expression at m=1; the two code paths are distinct.
-        rng = np.random.default_rng(55)
-        for _ in range(40):
-            n = int(rng.integers(2, 5))
-            L = n + int(rng.integers(1, 4))
-            vals = np.sort(rng.uniform(0.2, 8.0, size=n))[::-1]
-            sigma2 = float(rng.uniform(0.3, 3.0))
-            x = EigenSpectrum(vals, L)
-            a = log_simo_signal_likelihood(x, sigma2)
-            b = log_mimo_signal_likelihood(x, 1, sigma2)
-            assert b.log_magnitude == pytest.approx(a.log_magnitude, abs=1e-10)
-
     def test_two_source_matches_direct_assembly(self):
         rng = np.random.default_rng(77)
         done = 0
@@ -442,6 +453,7 @@ class TestScalarIsBatchRow:
         # equal its row wherever that row sits in the batch.
         grid = NoiseGrid(-5.0, 5.0, 11, "db")
         priors = [(ExactCount(1), ExactNoise(1.3), 60), (ExactCount(2), ExactNoise(1.3), 60),
+                  (ExactCount(3), ExactNoise(1.3), 40),
                   (ExactCount(1), grid, 40), (BoundedCount(2), grid, 40),
                   (BoundedCount(4), grid, n_bounded4)]
         for count, noise, n_rows in priors:

@@ -52,6 +52,10 @@ class TestScenario:
             Scenario(2, 4, 1, math.nan, 10, 1)
         with pytest.raises(DomainError):
             Scenario(2, 4, 1, 0.0, 10, -1)
+        # SNRs whose noise power overflows or underflows a double.
+        for snr_db in (-4000.0, 4000.0):
+            with pytest.raises(DomainError):
+                Scenario(4, 8, 1, snr_db, 10, 1)
 
 
 class TestSynthesis:
