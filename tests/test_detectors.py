@@ -83,16 +83,6 @@ class TestOneSourceLikelihood:
             ref = mp_one_source_logpdf(vals, L, sigma2)
             assert got.sign == 1
             assert got.log_magnitude == pytest.approx(ref, abs=1e-11)
-        # The m-source sum at m=1, on spectra with no gap filter.
-        rng = np.random.default_rng(55)
-        for _ in range(40):
-            n = int(rng.integers(2, 5))
-            L = n + int(rng.integers(1, 4))
-            vals = np.sort(rng.uniform(0.2, 8.0, size=n))[::-1]
-            sigma2 = float(rng.uniform(0.3, 3.0))
-            got = log_mimo_signal_likelihood(EigenSpectrum(vals, L), 1, sigma2)
-            ref = mp_one_source_logpdf(vals, L, sigma2)
-            assert got.log_magnitude == pytest.approx(ref, abs=1e-10)
 
     def test_eight_sensors_match_direct_assembly(self):
         # Eight sensors is where the gap sums run long enough for numpy's
@@ -123,6 +113,23 @@ class TestOneSourceLikelihood:
 
 
 class TestMultiSourceLikelihood:
+    def test_one_source_paths_agree(self):
+        # The m-source sum at m=1 must equal the one-source expression: the
+        # public one-source entry point and the independent mpmath
+        # one-source reference, on spectra with no gap filter.
+        rng = np.random.default_rng(55)
+        for _ in range(40):
+            n = int(rng.integers(2, 5))
+            L = n + int(rng.integers(1, 4))
+            vals = np.sort(rng.uniform(0.2, 8.0, size=n))[::-1]
+            sigma2 = float(rng.uniform(0.3, 3.0))
+            x = EigenSpectrum(vals, L)
+            a = log_simo_signal_likelihood(x, sigma2)
+            b = log_mimo_signal_likelihood(x, 1, sigma2)
+            ref = mp_one_source_logpdf(vals, L, sigma2)
+            assert b.log_magnitude == pytest.approx(a.log_magnitude, abs=1e-10)
+            assert b.log_magnitude == pytest.approx(ref, abs=1e-10)
+
     def test_two_source_matches_direct_assembly(self):
         rng = np.random.default_rng(77)
         done = 0
