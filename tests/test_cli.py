@@ -318,14 +318,18 @@ class TestExitCodes:
         assert code == 3
         assert "numeric failure" in capsys.readouterr().err
 
-    def test_huge_eigenvalues_exit_three(self, tmp_path, capped_python):
-        # The J kernel's panel cap: a typed error, not a hang that eats memory.
+    def test_huge_eigenvalues_match_extended_precision(self, tmp_path, capped_python):
+        # J at y near 1e20: a number equal to the multiprecision path's,
+        # computed in bounded memory.
         obs = tmp_path / "huge.txt"
         obs.write_text("eigs,8\n1e20\n1e20\n")
-        proc = capped_python(["-m", "eigensense.cli", "detect", "--input", str(obs),
-                              "--sigma2", "1"], timeout=60)
-        assert proc.returncode == 3, proc.stderr
-        assert "numeric failure" in proc.stderr
+        ratios = {}
+        for mode in ("standard", "extended"):
+            proc = capped_python(["-m", "eigensense.cli", "detect", "--input", str(obs),
+                                  "--sigma2", "1", "--precision", mode], timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            ratios[mode] = json.loads(proc.stdout)["result"]["log10_ratio"]
+        assert ratios["standard"] == ratios["extended"] == 4.342944839878653e+19
 
     @pytest.mark.parametrize("text", ["2,-3\n1:0\n1:0\n", "1,99999999999\n1:0\n"])
     def test_malformed_matrix_header_exits_two(self, tmp_path, capsys, text):

@@ -14,6 +14,7 @@ from eigensense import (
     ExactCount,
     ExactNoise,
     InputError,
+    NoiseGrid,
     NumericError,
     PriorConfig,
     RocCurve,
@@ -332,8 +333,8 @@ class TestRunRoc:
 
     def test_escalated_rows_equal_scalar_calls(self, monkeypatch):
         # Four sources on four sensors at sigma2 = 10^0.9 cancel past the
-        # double-precision limit, so 5 of the 6 rows go to multiprecision;
-        # with two-trial chunks they sit on both sides of a chunk boundary.
+        # double-precision limit, so all 6 rows go to multiprecision; with
+        # two-trial chunks they sit on both sides of a chunk boundary.
         monkeypatch.setattr(mc, "_ROC_CHUNK", 2)
         s = Scenario(4, 8, 1, 0.0, 3, 11)
         prior = PriorConfig(ExactCount(4), ExactNoise(10 ** 0.9))
@@ -346,7 +347,17 @@ class TestRunRoc:
                                           prior)
                 assert stats[i] == ref.log_ratio.log_magnitude, (hyp, i)
                 n_extended += ref.extended_used
-        assert n_extended == 5
+        assert n_extended == 6
+
+    @pytest.mark.parametrize("snr_db, grid", [(-35.0, None), (-40.0, None),
+                                              (-30.0, (25.0, 35.0, 11, "db"))])
+    def test_low_snr_sweeps_have_no_failed_trials(self, snr_db, grid):
+        # sigma2 = 1e3 to 1e4, so J is taken at x >= 1e3, where |g| at its
+        # peak is in the thousands of nats.
+        s = Scenario(4, 8, 1, snr_db, 64, 9)
+        noise = NoiseGrid(*grid) if grid else ExactNoise(s.sigma2)
+        curve = run_roc(s, BayesDetector(PriorConfig(ExactCount(1), noise)))
+        assert curve.n_failed_noise == curve.n_failed_signal == 0
 
     def test_small_failure_fraction_is_excluded(self, monkeypatch):
         real_fast = mc._batch_fast_stats

@@ -9,6 +9,7 @@ import pytest
 from eigensense import (
     CancellationReport,
     DomainError,
+    NumericError,
     SignedLog,
     j_integral,
     j_via_bessel,
@@ -142,26 +143,40 @@ class TestJIntegral:
                                 _log_j_batch(-4, 1.3, ys[17:])])
         assert np.array_equal(whole, parts)
 
-    def test_each_row_alone_matches_the_batch(self):
+    @pytest.mark.parametrize("k, x, y_max", [(-4, 1.3, 20.0), (-12, 2511.9, 1e20),
+                                             (0, 1e4, 1e12)])
+    def test_each_row_alone_matches_the_batch(self, k, x, y_max):
         # Every split position at once: each y alone against the whole batch.
-        ys = np.random.default_rng(5).uniform(0.0, 20.0, 257)
-        whole = _log_j_batch(-4, 1.3, ys)
-        alone = np.array([_log_j_batch(-4, 1.3, ys[i:i + 1])[0] for i in range(ys.size)])
+        ys = np.random.default_rng(5).uniform(0.0, y_max, 257)
+        whole = _log_j_batch(k, x, ys)
+        alone = np.array([_log_j_batch(k, x, ys[i:i + 1])[0] for i in range(ys.size)])
         assert whole.tobytes() == alone.tobytes()
 
-    def test_huge_y_raises_instead_of_growing(self, capped_python):
-        # At y = 1e20 the panels never meet their budget; the panel cap turns
-        # unbounded growth into a NumericError naming the integral.
+    def test_matches_40_digit_reference_on_a_wide_grid(self):
+        # 480 points, y up to 1e20 and x up to 1e6.  The reference is the
+        # 40-digit segment (mp_j misses the narrow peak at large y).  Within
+        # 2e-13 where |log J| < 1e3, else within 2 ulp of log J.
+        ys = np.array([0.0, 0.1, 3.0, 100.0, 3719.0, 1e5, 1e8, 1e12, 1e16, 1e20])
+        for k in (-12, -7, -5, -3, -1, 0, 2, 6):
+            for x in (0.05, 1.0, 30.0, 2511.9, 1e4, 1e6):
+                for y, got in zip(ys, _log_j_batch(k, x, ys)):
+                    ref = _log_j_segment_mp(k, float(y), math.log(x), math.inf, 40)
+                    tol = 2e-13 if abs(ref) < 1e3 else 2 * math.ulp(float(ref))
+                    assert abs(mp.mpf(float(got)) - ref) <= tol, (k, x, y)
+
+    def test_huge_y_is_within_two_ulp_in_bounded_memory(self, capped_python):
+        # At y = 1e20, |g| at the peak is 2e10: formed from g, the integrand
+        # would carry 4e-6 nats of rounding.  The value must still be right,
+        # and computed in bounded memory.
         code = ("import numpy as np\n"
-                "from eigensense import NumericError\n"
                 "from eigensense.special import _log_j_batch\n"
-                "try:\n"
-                "    _log_j_batch(-7, 1.0, np.array([1.0, 1e20]))\n"
-                "except NumericError as exc:\n"
-                "    print(exc)\n")
+                "print(repr(float(_log_j_batch(-7, 1.0, np.array([1.0, 1e20]))[1])))\n")
         proc = capped_python(["-c", code], timeout=30)
         assert proc.returncode == 0, proc.stderr
-        assert "first offender k=-7, x=1.0, y=1e+20" in proc.stdout
+        got = float(proc.stdout)
+        ref = _log_j_segment_mp(-7, 1e20, 0.0, math.inf, 40)
+        assert float(ref) == -20000000149.095665
+        assert abs(got - ref) <= 2 * math.ulp(float(ref))
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -221,6 +236,12 @@ class TestJViaBessel:
     def test_rejects_y_zero(self):
         with pytest.raises(DomainError):
             j_via_bessel(0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("k, x, y", [(-5, 1.0, 1e6), (0, 800.0, 1.0), (200, 0.05, 1.0)])
+    def test_value_outside_the_double_range_raises(self, k, x, y):
+        # J underflows at the first two points and overflows at the third.
+        with pytest.raises(NumericError, match=f"k={k}, x={x}, y={y}"):
+            j_via_bessel(k, x, y)
 
 
 class TestKappa:
