@@ -9,7 +9,7 @@ therefore carries values as (sign, log|value|) pairs:
   log-domain accumulation with a cancellation diagnostic; signed_log_sum is
   the one-row case of ``_signed_lse_rows``, which the detectors run on stacks.
 * :func:`j_integral` evaluates J_k(x, y) = integral of t^k e^(-t - y/t)
-  over [x, inf) by one fixed Gauss-Legendre rule on each side of the
+  over [x, inf) by fixed 32-node Gauss-Legendre panels on each side of the
   integrand's peak in u = ln t, returning the log of the (always positive)
   value.  It is :func:`_log_j_batch` at B=1, which takes many y at once and
   is what the detectors and the Monte Carlo harness drive.
@@ -166,33 +166,44 @@ def signed_log_sum(terms) -> tuple[SignedLog, CancellationReport]:
 
 
 # ---------------------------------------------------------------------------
-# J_k(x, y): one fixed Gauss-Legendre rule in the peak-shifted variable
+# J_k(x, y): fixed Gauss-Legendre panels in the peak-shifted variable
 # ---------------------------------------------------------------------------
 # After t = e^u the integral over [x, inf) becomes the integral of e^{g(u)}
 # with g(u) = (k+1) u - e^u - y e^{-u}, which is strictly concave, so the
 # integrand has a single peak at t* solving t^2 - (k+1) t - y = 0 and
 # doubly-exponential tails.  Each integral is reduced to a finite window
 # [a, b] where g stays within _TAIL_NATS of its maximum, split at the peak,
-# and each side is integrated by one 32-node Gauss-Legendre rule in
-# v = u - u_pk.  The integrand is formed as g(u_pk + v) - g(u_pk) directly
-# in v (_shifted_g): formed from g itself it would carry eps*|g| of absolute
-# rounding, 4e-6 nats at y = 1e20, where |g| at the peak is 2e10.
+# and each side is cut into equal panels no longer than _GL_PANEL in
+# v = u - u_pk, each integrated by one 32-node Gauss-Legendre rule.  The
+# integrand is formed as g(u_pk + v) - g(u_pk) directly in v (_shifted_g):
+# formed from g itself it would carry eps*|g| of absolute rounding, 4e-6 nats
+# at y = 1e20, where |g| at the peak is 2e10.
 #
 # Why 32 nodes suffice: e^{g(u_pk + v) - gmax} is entire in v, and the cuts
 # bound each side to the stretch where it falls by 60 nats, so Gauss-Legendre
-# converges geometrically on each side (Trefethen, "Is Gauss quadrature better
-# than Clenshaw-Curtis?", SIAM Review 50, 2008).  Measured against the
+# converges geometrically on each panel (Trefethen, "Is Gauss quadrature
+# better than Clenshaw-Curtis?", SIAM Review 50, 2008).  Measured against the
 # 40-digit mpmath segment on the 480 points k in {-12, -7, -5, -3, -1, 0, 2, 6},
 # x in {0.05, 1, 30, 2511.9, 1e4, 1e6}, y in {0, 0.1, 3, ..., 1e20}: 32 nodes
-# per side were within 1.1e-13 of log J where |log J| < 1e3 and within
+# a side were within 1.1e-13 of log J where |log J| < 1e3 and within
 # 1.5 ulp of log J elsewhere; 24 nodes gave 1.1e-11 and 16 gave 1.2e-7,
 # worst at x = 0.05 and y near 0, where the peak sits on the lower cut.
-# The bound on the window fails as x -> 0: a side can then span ln(1/x) in u
-# with the double-exponential wall at t ~ 1 at its far end (see j_integral).
+#
+# Why panels of 8: the convergence rate is set by how far the ellipse of
+# analyticity reaches, and the double-exponential wall of e^{-t} (t near 1)
+# or of e^{-y/t} (t near y) grows off the real line within pi/2 of it, so a
+# panel holding a wall must be short.  At k = -1, y = 0, where a flat
+# plateau ends in the wall, one panel of length 8, 8.5, 9 and 10 gave
+# 3.6e-15, 3.7e-14, 8.5e-14 and 5.2e-13.  Sides longer than 8 occur only for
+# x < 0.05 (up to ln(1/x) + 4); every side at x >= 0.05 is one panel.  On
+# the 912 points k in [-12, 6], x in {1e-2, 1e-3, 1e-4, 1e-6, 1e-10, 1e-30},
+# y in {0, 1e-30, 1e-10, 1e-6, 1e-3, 1e-2, 0.1, 1} the worst error was 1.1e-13.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-# Mapped onto [0, 1]: a side of signed length L has nodes L*s and weights |L|*w.
+# Mapped onto [0, 1]: panel j of signed length h has nodes h*(j + s) and
+# weights |h|*w.
 _GL_S = 0.5 * (_GL_NODES + 1.0)
 _GL_W = 0.5 * _GL_WEIGHTS
+_GL_PANEL = 8.0
 
 # sinh v - v = v^3 * sum_j w^j / (2j+3)! with w = v^2, highest power first.
 # At |v| < 1 the first dropped term, v^19/19!, is below 5e-17 of the sum.
@@ -253,8 +264,8 @@ def _shifted_g(v, c, t_pk, y_hat):
 def _log_j_batch(k: float, x: float, y: np.ndarray) -> np.ndarray:
     """log J_k(x, y_i) for an array of y >= 0 sharing one (k, x).
 
-    Every integral meets the same 2 x 32 nodes of its own window and is
-    summed on its own, so results are identical no matter how calls are
+    Every integral meets the same nodes of its own window, 32 per panel, and
+    is summed on its own, so results are identical no matter how calls are
     batched.
     """
     _validate_j_args(k, x)
@@ -301,17 +312,26 @@ def _log_j_batch(k: float, x: float, y: np.ndarray) -> np.ndarray:
     if needs_left.any():
         a_cut = np.where(needs_left, _bisect_cut(a_cut, u_pk, kp1, y, target), a0)
 
-    # Signed lengths of the sides [a, peak] and [peak, b]; a peak on the lower
-    # cut leaves the first side empty, and its nodes all get weight 0.
+    # Signed lengths of the sides [a, peak] and [peak, b], each cut into equal
+    # panels; a peak on the lower cut leaves the first side empty, and its
+    # nodes all get weight 0.  Panels past a side's own count have length 0.
     side = np.column_stack([a_cut - u_pk, b_cut - u_pk])
-    t_pk = np.exp(u_pk)[:, None, None]
-    y_hat = y[:, None, None] / t_pk
-    f = np.exp(_shifted_g(side[:, :, None] * _GL_S, kp1 - t_pk + y_hat, t_pk, y_hat))
+    n_panels = np.maximum(1.0, np.ceil(np.abs(side) / _GL_PANEL))
+    j = np.arange(n_panels.max())
+    h = np.where(j < n_panels[..., None], (side / n_panels)[..., None], 0.0)
+    t_pk = np.exp(u_pk)[:, None, None, None]
+    y_hat = y[:, None, None, None] / t_pk
+    f = np.exp(_shifted_g(h[..., None] * (j[:, None] + _GL_S), kp1 - t_pk + y_hat, t_pk, y_hat))
     # Row-local sums: a BLAS matrix-vector product rounds a row differently
-    # depending on its position in the matrix.
-    acc = (np.abs(side) * (f * _GL_W).sum(-1)).sum(-1)
+    # depending on its position in the matrix.  The panels are summed in
+    # order (cumsum), so the zero-length ones a longer row in the same batch
+    # adds leave the sum exact, as a pairwise sum over them would not.
+    panels = np.cumsum(np.abs(h) * (f * _GL_W).sum(-1), axis=-1)[..., -1]
+    acc = panels.sum(-1)
     if not np.all(np.isfinite(acc) & (acc > 0.0)):
-        raise NumericError(f"J quadrature gave a non-positive or non-finite value at k={k}, x={x}")
+        bad = int(np.argmin(np.isfinite(acc) & (acc > 0.0)))
+        raise NumericError(f"J quadrature gave a non-positive or non-finite value; "
+                           f"first offender k={k}, x={x}, y={y[bad]!r}")
     return gmax + np.log(acc)
 
 
@@ -387,11 +407,9 @@ def j_integral(k: float, x: float, y: float, *, precision: str = "standard") -> 
     """J_k(x, y) = integral over [x, inf) of t^k e^(-t - y/t) dt, as a SignedLog.
 
     The value is always positive; the returned sign is +1.  Against a
-    40-digit reference over k in [-12, 6], x in [0.05, 1e6] and y in
+    40-digit reference over k in [-12, 6], x in [1e-30, 1e6] and y in
     [0, 1e20], log J is within 2e-13 where |log J| < 1e3 and within 2 ulp
-    of log J beyond (worst seen 1.1e-13 and 1.5 ulp).  Below x = 0.05 the
-    window in ln t widens by ln(1/x) and the error grows: at k = -1 and
-    y <= 1e-6 it reached 1.7e-12 at x = 1e-3 and 6.7e-10 at x = 1e-6.
+    of log J beyond (worst seen 1.1e-13 and 1.5 ulp).
     precision="extended" evaluates in multiprecision arithmetic instead
     (used by the cancellation fallback paths).
     """
@@ -436,11 +454,6 @@ def j_via_bessel(k: int, x: float, y: float) -> float:
     u_pk = max(math.log(tstar) if tstar > 0 else -math.inf, math.log(x))
     g_tail = kp1 * u_pk - math.exp(u_pk) - y * math.exp(-u_pk)
     digits_lost = (log_full - g_tail) / _LN10 if math.isfinite(log_full) else math.inf
-    # g'' <= -2 sqrt(y), so J <= e^g_tail sqrt(pi / sqrt(y)): a value that
-    # bound puts below the smallest normal double is refused up front, before
-    # hundreds of digits of multiprecision work.
-    if g_tail + 0.5 * math.log(math.pi / math.sqrt(y)) < math.log(sys.float_info.min):
-        raise NumericError(f"J_k(x, y) at k={k}, x={x}, y={y} underflows a double")
 
     if digits_lost < 2.0 and abs(log_full) < 650.0:
         full = 2.0 * y ** (0.5 * kp1) * kve * math.exp(-z)

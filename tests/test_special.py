@@ -152,15 +152,32 @@ class TestJIntegral:
         alone = np.array([_log_j_batch(k, x, ys[i:i + 1])[0] for i in range(ys.size)])
         assert whole.tobytes() == alone.tobytes()
 
-    def test_matches_40_digit_reference_on_a_wide_grid(self):
-        # 480 points, y up to 1e20 and x up to 1e6.  The reference is the
-        # 40-digit segment (mp_j misses the narrow peak at large y).  Within
-        # 2e-13 where |log J| < 1e3, else within 2 ulp of log J.
-        ys = np.array([0.0, 0.1, 3.0, 100.0, 3719.0, 1e5, 1e8, 1e12, 1e16, 1e20])
-        for k in (-12, -7, -5, -3, -1, 0, 2, 6):
-            for x in (0.05, 1.0, 30.0, 2511.9, 1e4, 1e6):
-                for y, got in zip(ys, _log_j_batch(k, x, ys)):
-                    ref = _log_j_segment_mp(k, float(y), math.log(x), math.inf, 40)
+    def test_rows_with_many_panels_match_alone(self):
+        # At x = 1e-300 a side is cut into 1 to 87 panels, depending on y.
+        # A batch pads each row to its longest row with zero-length panels,
+        # which must leave the row's sum unchanged bit for bit.
+        ys = np.concatenate([[0.0], 10.0 ** np.random.default_rng(1).uniform(-300, 2, 300)])
+        whole = _log_j_batch(-1, 1e-300, ys)
+        alone = np.array([_log_j_batch(-1, 1e-300, ys[i:i + 1])[0] for i in range(ys.size)])
+        assert whole.tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("ks, xs, ys", [
+        # 480 points, y up to 1e20 and x up to 1e6.
+        ((-12, -7, -5, -3, -1, 0, 2, 6), (0.05, 1.0, 30.0, 2511.9, 1e4, 1e6),
+         (0.0, 0.1, 3.0, 100.0, 3719.0, 1e5, 1e8, 1e12, 1e16, 1e20)),
+        # Below x = 0.05 a side spans up to ln(1/x) + 4 in ln t and ends in
+        # the wall of e^{-t} or e^{-y/t}; k = -1 with y near 0 (a flat
+        # plateau, then the wall) is the hardest case.
+        ((-12, -5, -1, 0, 2, 6), (1e-3, 1e-6, 1e-10, 1e-30),
+         (0.0, 1e-30, 1e-10, 1e-6, 1e-3, 1.0)),
+    ], ids=["wide", "small_x"])
+    def test_matches_40_digit_reference(self, ks, xs, ys):
+        # The reference is the 40-digit segment (mp_j misses the narrow peak
+        # at large y).  Within 2e-13 where |log J| < 1e3, else within 2 ulp.
+        for k in ks:
+            for x in xs:
+                for y, got in zip(ys, _log_j_batch(k, x, np.array(ys))):
+                    ref = _log_j_segment_mp(k, y, math.log(x), math.inf, 40)
                     tol = 2e-13 if abs(ref) < 1e3 else 2 * math.ulp(float(ref))
                     assert abs(mp.mpf(float(got)) - ref) <= tol, (k, x, y)
 
@@ -237,7 +254,7 @@ class TestJViaBessel:
         with pytest.raises(DomainError):
             j_via_bessel(0, 1.0, 0.0)
 
-    @pytest.mark.parametrize("k, x, y", [(-5, 1.0, 1e6), (0, 800.0, 1.0), (200, 0.05, 1.0)])
+    @pytest.mark.parametrize("k, x, y", [(-5, 1.0, 1e6), (2, 10.0, 3e5), (200, 0.05, 1.0)])
     def test_value_outside_the_double_range_raises(self, k, x, y):
         # J underflows at the first two points and overflows at the third.
         with pytest.raises(NumericError, match=f"k={k}, x={x}, y={y}"):
