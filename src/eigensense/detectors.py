@@ -377,34 +377,42 @@ def _mimo_prefactor_rows(gvals: np.ndarray, L: int, m: int, sigma2: float) -> np
     return const - gvals.sum(axis=1) / sigma2
 
 
-def _mimo_batch(gvals: np.ndarray, L: int, m: int, sigma2: float):
-    """ln P(Y | m sources) over a (B, N) stack of guarded descending spectra.
+def _mimo_batch(gvals: np.ndarray, L: int, m: int, points: np.ndarray):
+    """ln P(Y | m sources, sigma2) over a (B, N) stack of guarded descending
+    spectra, for every sigma2 in points: one (sign, log_mag, peak, digits)
+    row tuple per point.
 
     Outer sum over ordered m-tuples a of distinct sensor indices; inner
     alternating sum over permutations b of {1..m} of products
     J_{N-L-2+b_l}(m sigma2, m x_{a_l}); everything in signed log space, every
-    term gathered through _mimo_tables.  One source is m=1.
+    term gathered through _mimo_tables.  One source is m=1.  Each J order is
+    one kernel call over the whole grid.
     """
     b, n = gvals.shape
+    points = np.asarray(points, dtype=float)
     tuples, gaps, jcols, signs = _mimo_tables(n, m)
     my = (m * gvals).ravel()
-    jlog = np.concatenate([_log_j_batch(n - L - 2 + j, m * sigma2, my).reshape(b, n)
-                           for j in range(1, m + 1)], axis=1)
+    tables = [_log_j_batch(n - L - 2 + j, m * points, my) for j in range(1, m + 1)]
     logabs = _log_gaps(gvals)
     # From 0, left to right over gap groups and J factors: the order fixes the bits.
     dlog = sum(logabs[:, g].sum(axis=2) for g in gaps)
-    jl = sum(jlog[:, c] for c in jcols).reshape(b, len(tuples), -1)
-    eterm = gvals[:, tuples].sum(axis=2) / sigma2
-    logmags = ((eterm[:, :, None] + jl) - dlog[:, :, None]).reshape(b, -1)
-    sign, log_mag, peak, digits = _signed_lse_rows(signs[None, :].repeat(b, axis=0), logmags)
-    pref = _mimo_prefactor_rows(gvals, L, m, sigma2)
-    return sign, log_mag + pref, peak + pref, digits
+    tuple_sums = gvals[:, tuples].sum(axis=2)
+    signs = signs[None, :].repeat(b, axis=0)
+    out = []
+    for p, sigma2 in enumerate(points.tolist()):
+        jlog = np.concatenate([t[p].reshape(b, n) for t in tables], axis=1)
+        jl = sum(jlog[:, c] for c in jcols).reshape(b, len(tuples), -1)
+        logmags = ((tuple_sums / sigma2)[:, :, None] + jl - dlog[:, :, None]).reshape(b, -1)
+        sign, log_mag, peak, digits = _signed_lse_rows(signs, logmags)
+        pref = _mimo_prefactor_rows(gvals, L, m, sigma2)
+        out.append((sign, log_mag + pref, peak + pref, digits))
+    return out
 
 
-def _simo_batch(gvals: np.ndarray, L: int, sigma2: float):
+def _simo_batch(gvals: np.ndarray, L: int, points: np.ndarray):
     """_mimo_batch at m=1.  Nothing in the package calls it; it stays only
     because perfbench/spans.py wraps it by name (ROADMAP item 2 removes it)."""
-    return _mimo_batch(gvals, L, 1, sigma2)
+    return _mimo_batch(gvals, L, 1, points)
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +466,11 @@ def _signal_mp(gvals: np.ndarray, L: int, m: int, sigma2: float, dps: int):
 def _component_rows(gvals: np.ndarray, L: int, ms, points):
     """ln P(Y | m sources, sigma2) for every (m, sigma2) pair, m-major.
 
-    gvals is a (B, N) stack of guarded descending spectra.  Each entry is the
-    (sign, log_mag, peak, digits) rows of _mimo_batch.
+    gvals is a (B, N) stack of guarded descending spectra and points an
+    array of sigma2.  Each entry is one (sign, log_mag, peak, digits) row
+    tuple of _mimo_batch.
     """
-    return [_mimo_batch(gvals, L, m, float(p)) for m in ms for p in points]
+    return [row for m in ms for row in _mimo_batch(gvals, L, m, points)]
 
 
 def _accepted(sign, log_mag, digits):

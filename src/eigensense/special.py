@@ -11,8 +11,9 @@ therefore carries values as (sign, log|value|) pairs:
 * :func:`j_integral` evaluates J_k(x, y) = integral of t^k e^(-t - y/t)
   over [x, inf) by fixed 32-node Gauss-Legendre panels on each side of the
   integrand's peak in u = ln t, returning the log of the (always positive)
-  value.  It is :func:`_log_j_batch` at B=1, which takes many y at once and
-  is what the detectors and the Monte Carlo harness drive.
+  value.  It is :func:`_log_j_batch` at one x and one y; the kernel takes
+  many y at once and a grid of lower limits x, sharing each y's peak and the
+  side above it across the grid points, and is what the detectors drive.
 * :func:`j_via_bessel` evaluates the same quantity through the independent
   Bessel-K identity and exists purely as an oracle for j_integral.
 * :func:`kappa` and :func:`lemma1_determinant` expose the derivative
@@ -49,8 +50,9 @@ _LN10 = math.log(10.0)
 # drops this many nats below its maximum on the domain.
 _TAIL_NATS = 60.0
 
-# Bisection steps per J cutoff.
+# Bisection steps per J cutoff, in doubles and in _log_j_segment_mp.
 _J_CUT_BISECTIONS = 30
+_MP_CUT_BISECTIONS = 40
 
 # Generous sanity cap on |k|; detector orders stay within a few times N+L.
 _J_MAX_ABS_K = 1000
@@ -177,7 +179,9 @@ def signed_log_sum(terms) -> tuple[SignedLog, CancellationReport]:
 # v = u - u_pk, each integrated by one 32-node Gauss-Legendre rule.  The
 # integrand is formed as g(u_pk + v) - g(u_pk) directly in v (_shifted_g):
 # formed from g itself it would carry eps*|g| of absolute rounding, 4e-6 nats
-# at y = 1e20, where |g| at the peak is 2e10.
+# at y = 1e20, where |g| at the peak is 2e10.  Only the side below the peak
+# depends on x while ln x lies below the peak, so a grid of lower limits
+# shares the peak, the upper cut and the side above it (_log_j_batch).
 #
 # Why 32 nodes suffice: e^{g(u_pk + v) - gmax} is entire in v, and the cuts
 # bound each side to the stretch where it falls by 60 nats, so Gauss-Legendre
@@ -204,6 +208,8 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _GL_S = 0.5 * (_GL_NODES + 1.0)
 _GL_W = 0.5 * _GL_WEIGHTS
 _GL_PANEL = 8.0
+# Nodes evaluated at once (see _side_sums).
+_GL_BLOCK_NODES = 1 << 15
 
 # sinh v - v = v^3 * sum_j w^j / (2j+3)! with w = v^2, highest power first.
 # At |v| < 1 the first dropped term, v^19/19!, is below 5e-17 of the sum.
@@ -211,8 +217,8 @@ _SINH_ODD = np.array([1.0 / math.factorial(n) for n in range(17, 2, -2)])
 
 
 def _g_log_integrand(u, kp1, y):
-    with np.errstate(over="ignore"):
-        return kp1 * u - np.exp(u) - y * np.exp(-u)
+    """g(u); e^u may overflow to inf, so callers ignore overflow."""
+    return kp1 * u - np.exp(u) - y * np.exp(-u)
 
 
 def _peak_t(kp1, y):
@@ -232,12 +238,12 @@ def _validate_j_args(k: float, x: float) -> None:
 
 def _bisect_cut(outer, inner, kp1, y, target):
     """Move each cutoff from outer (g <= target) toward inner (g > target)
-    by a fixed number of bisections; returns the final outer ends."""
+    by a fixed number of bisections, in place; returns the final outer ends."""
     for _ in range(_J_CUT_BISECTIONS):
         mid = 0.5 * (outer + inner)
         below = _g_log_integrand(mid, kp1, y) <= target
-        outer = np.where(below, mid, outer)
-        inner = np.where(below, inner, mid)
+        np.copyto(outer, mid, where=below)
+        np.copyto(inner, mid, where=~below)
     return outer
 
 
@@ -249,43 +255,95 @@ def _shifted_g(v, c, t_pk, y_hat):
     where t_pk = e^u_pk, y_hat = y / t_pk and c = g'(u_pk) = k + 1 - t_pk + y_hat.
     For |v| < 1, phi(+-v) = 2 sinh^2(v/2) +- (sinh v - v), the odd part from
     its series.  Beyond, phi(+-v) = expm1(+-v) -+ v loses at most two bits,
-    where the two sinh parts would cancel to e^-|v| of their size.
+    where the two sinh parts would cancel to e^-|v| of their size.  Far from
+    the peak expm1 may overflow to inf, so callers ignore overflow.
     """
     w = v * v
     odd = v * w * np.polyval(_SINH_ODD, w)
     even = 2.0 * np.sinh(0.5 * v) ** 2
     small = np.abs(v) < 1.0
-    with np.errstate(over="ignore"):
-        phi_pos = np.where(small, even + odd, np.expm1(v) - v)
-        phi_neg = np.where(small, even - odd, np.expm1(-v) + v)
-        return c * v - t_pk * phi_pos - y_hat * phi_neg
+    phi_pos = np.where(small, even + odd, np.expm1(v) - v)
+    phi_neg = np.where(small, even - odd, np.expm1(-v) + v)
+    return c * v - t_pk * phi_pos - y_hat * phi_neg
 
 
-def _log_j_batch(k: float, x: float, y: np.ndarray) -> np.ndarray:
-    """log J_k(x, y_i) for an array of y >= 0 sharing one (k, x).
+def _side_sums(side, c, t_pk, y_hat):
+    """Integral of e^{g(u_pk + v) - g(u_pk)} over v from 0 to each signed
+    length in side, by equal panels of at most _GL_PANEL, 32 nodes each.
 
-    Every integral meets the same nodes of its own window, 32 per panel, and
-    is summed on its own, so results are identical no matter how calls are
-    batched.
+    c, t_pk and y_hat are each side's _shifted_g parameters.  The nodes are
+    evaluated in blocks of sides holding at most _GL_BLOCK_NODES of them,
+    which bounds the temporaries; every sum is local to its side, so the
+    blocking changes no bit.
     """
-    _validate_j_args(k, x)
+    n_panels = np.maximum(1.0, np.ceil(np.abs(side) / _GL_PANEL))
+    width = (side / n_panels)[:, None]
+    step = max(1, _GL_BLOCK_NODES // (_GL_S.size * int(n_panels.max())))
+    out = np.empty(side.size)
+    for lo in range(0, side.size, step):
+        blk = slice(lo, lo + step)
+        # Panels past a side's own count have length 0.
+        j = np.arange(n_panels[blk].max())
+        h = np.where(j < n_panels[blk, None], width[blk], 0.0)
+        f = np.exp(_shifted_g(h[..., None] * (j[:, None] + _GL_S),
+                              *(q[blk, None, None] for q in (c, t_pk, y_hat))))
+        # Row-local sums: a BLAS matrix-vector product rounds a row differently
+        # depending on its position in the matrix.  The panels are summed in
+        # order (cumsum), so the zero-length ones a longer side in the same
+        # block adds leave the sum exact, as a pairwise sum over them would not.
+        out[blk] = np.cumsum(np.abs(h) * (f * _GL_W).sum(-1), axis=-1)[:, -1]
+    return out
+
+
+@np.errstate(over="ignore", divide="ignore")
+def _log_j_batch(k: float, x, y: np.ndarray) -> np.ndarray:
+    """log J_k(x_p, y_i) for every lower limit x_p and every y_i >= 0.
+
+    x is a float or a 1-D array of lower limits; the result has shape
+    x.shape + y.shape, and a float x is the one-point grid.  Where ln x_p
+    lies below row i's peak, the peak, the cuts above it and the side above
+    it do not depend on x_p, so they are computed once per row and shared by
+    every such grid point, which adds only its own side below the peak.
+    Every integral meets the same nodes of its own window, 32 per panel, and
+    is summed on its own, so each value is the same bits whatever the grid
+    and however the y are batched.
+    """
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim > 1 or xs.size == 0:
+        raise DomainError("x must be a float or a non-empty one-dimensional array")
+    xs = xs.ravel()
+    for xp in xs:
+        _validate_j_args(k, float(xp))
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise DomainError("y must be one-dimensional")
     if y.size == 0:
-        return np.empty(0)
+        return np.empty(np.shape(x) + (0,))
     if not np.all(np.isfinite(y)) or np.any(y < 0.0):
         raise DomainError("j_integral requires finite y >= 0")
 
-    n = y.size
     kp1 = k + 1.0
-    a0 = math.log(x)
+    # ln x by math.log, not np.log, which may round the last bit differently
+    # and so move every J value.
+    a0 = np.array([math.log(xp) for xp in xs])
 
     tstar = _peak_t(kp1, y)
-    with np.errstate(divide="ignore"):
-        u_star = np.where(tstar > 0.0, np.log(np.where(tstar > 0.0, tstar, 1.0)), -np.inf)
-    u_pk = np.maximum(u_star, a0)
-    gmax = _g_log_integrand(u_pk, kp1, y)
+    u_star = np.where(tstar > 0.0, np.log(np.where(tstar > 0.0, tstar, 1.0)), -np.inf)
+
+    # Peak tasks: one per row whose peak lies above ln x_p for some p, shared
+    # by those (two-sided) pairs; then one per remaining pair, whose peak sits
+    # on ln x_p and whose side below it is empty.  pk maps each pair to its task.
+    two = a0[:, None] < u_star
+    rows = np.flatnonzero(two.any(axis=0))
+    one_p, one_i = np.nonzero(~two)
+    two_p, two_i = np.nonzero(two)
+    s = np.searchsorted(rows, two_i)
+    pk = np.empty(two.shape, dtype=np.intp)
+    pk[two] = s
+    pk[~two] = rows.size + np.arange(one_p.size)
+    u_pk = np.concatenate([u_star[rows], a0[one_p]])
+    y_pk = np.concatenate([y[rows], y[one_i]])
+    gmax = _g_log_integrand(u_pk, kp1, y_pk)
     if not np.all(np.isfinite(gmax)):
         raise NumericError("J integrand maximum is not finite; arguments out of range")
     target = gmax - _TAIL_NATS
@@ -293,46 +351,46 @@ def _log_j_batch(k: float, x: float, y: np.ndarray) -> np.ndarray:
     # Upper cutoff: double a step past the peak until g drops below target,
     # then bisect.  Fixed iteration counts keep every element's result a pure
     # function of its own arguments.
-    step = np.ones(n)
+    step = np.ones(u_pk.size)
     hi = u_pk + step
     for _ in range(130):
-        need = _g_log_integrand(hi, kp1, y) > target
+        need = _g_log_integrand(hi, kp1, y_pk) > target
         if not need.any():
             break
-        step = np.where(need, 2.0 * step, step)
-        hi = np.where(need, u_pk + step, hi)
+        np.multiply(step, 2.0, out=step, where=need)
+        np.add(u_pk, step, out=hi, where=need)
     else:
         raise NumericError("J tail cutoff search failed to terminate")
-    b_cut = _bisect_cut(hi, u_pk, kp1, y, target)
 
-    # Lower cutoff: only needed when the peak sits strictly inside the domain
-    # and the left tail falls below target before reaching ln x.
-    a_cut = np.full(n, a0)
-    needs_left = (u_pk > a0) & (_g_log_integrand(a_cut, kp1, y) < target)
-    if needs_left.any():
-        a_cut = np.where(needs_left, _bisect_cut(a_cut, u_pk, kp1, y, target), a0)
+    # Lower cutoff of a two-sided pair: only needed when the left tail falls
+    # below target before reaching ln x.  One bisection moves both kinds of
+    # cutoff, each element on its own.
+    a_cut = a0[two_p]
+    y_lo = y[two_i]
+    left = np.flatnonzero(_g_log_integrand(a_cut, kp1, y_lo) < target[s])
+    sl = s[left]
+    cut = _bisect_cut(np.concatenate([hi, a_cut[left]]), np.concatenate([u_pk, u_pk[sl]]),
+                      kp1, np.concatenate([y_pk, y_lo[left]]),
+                      np.concatenate([target, target[sl]]))
+    a_cut[left] = cut[u_pk.size:]
 
-    # Signed lengths of the sides [a, peak] and [peak, b], each cut into equal
-    # panels; a peak on the lower cut leaves the first side empty, and its
-    # nodes all get weight 0.  Panels past a side's own count have length 0.
-    side = np.column_stack([a_cut - u_pk, b_cut - u_pk])
-    n_panels = np.maximum(1.0, np.ceil(np.abs(side) / _GL_PANEL))
-    j = np.arange(n_panels.max())
-    h = np.where(j < n_panels[..., None], (side / n_panels)[..., None], 0.0)
-    t_pk = np.exp(u_pk)[:, None, None, None]
-    y_hat = y[:, None, None, None] / t_pk
-    f = np.exp(_shifted_g(h[..., None] * (j[:, None] + _GL_S), kp1 - t_pk + y_hat, t_pk, y_hat))
-    # Row-local sums: a BLAS matrix-vector product rounds a row differently
-    # depending on its position in the matrix.  The panels are summed in
-    # order (cumsum), so the zero-length ones a longer row in the same batch
-    # adds leave the sum exact, as a pairwise sum over them would not.
-    panels = np.cumsum(np.abs(h) * (f * _GL_W).sum(-1), axis=-1)[..., -1]
-    acc = panels.sum(-1)
-    if not np.all(np.isfinite(acc) & (acc > 0.0)):
-        bad = int(np.argmin(np.isfinite(acc) & (acc > 0.0)))
+    # The sides above every peak, then the sides below the two-sided pairs'.
+    t_pk = np.exp(u_pk)
+    y_hat = y_pk / t_pk
+    c = kp1 - t_pk + y_hat
+    owner = np.concatenate([np.arange(u_pk.size), s])
+    sums = _side_sums(np.concatenate([cut[:u_pk.size] - u_pk, a_cut - u_pk[s]]),
+                      c[owner], t_pk[owner], y_hat[owner])
+    # Lower side plus upper side; a pair with no lower side adds exactly 0.0.
+    lower = np.zeros(two.shape)
+    lower[two] = sums[u_pk.size:]
+    acc = lower + sums[pk]
+    ok = np.isfinite(acc) & (acc > 0.0)
+    if not ok.all():
+        p, i = np.unravel_index(np.argmin(ok), ok.shape)
         raise NumericError(f"J quadrature gave a non-positive or non-finite value; "
-                           f"first offender k={k}, x={x}, y={y[bad]!r}")
-    return gmax + np.log(acc)
+                           f"first offender k={k}, x={xs[p]}, y={y[i]!r}")
+    return (gmax[pk] + np.log(acc)).reshape(np.shape(x) + y.shape)
 
 
 def _log_j_segment_mp(k, y, u_lo, u_hi, dps: int):
@@ -382,7 +440,9 @@ def _log_j_segment_mp(k, y, u_lo, u_hi, dps: int):
             if direction * outer > direction * limit:
                 outer = limit
             inner = u_pk
-            for _ in range(mp.mp.dps * 4 + 60):
+            # Every outer kept has g <= target, so fewer steps only leave more
+            # of the negligible tail inside the segment.
+            for _ in range(_MP_CUT_BISECTIONS):
                 mid = (outer + inner) / 2
                 if g(mid) <= target:
                     outer = mid

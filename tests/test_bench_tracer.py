@@ -43,6 +43,10 @@ def test_instrument_resolves_every_name_and_uninstall_restores_it():
         x = es.gram_eigenvalues(y)
         es.detection_log_ratio(x, es.PriorConfig(es.ExactCount(1), es.ExactNoise(1.0)),
                                precision="extended")
+        tracer.request = "grid"
+        es.detection_log_ratio(x, es.PriorConfig(es.BoundedCount(2),
+                                                 es.NoiseGrid(-5.0, 5.0, 11, "db")))
+        tracer.request = None
         stats = np.zeros(1)
         mc._retry_rows_scalar(x.values[None, :], 6, prior, stats, [0])
         es.mc_signal_likelihood_oracle(y, 1, 1.0, 1000, 1)
@@ -62,6 +66,11 @@ def test_instrument_resolves_every_name_and_uninstall_restores_it():
     # wraps, not through a module attribute it cannot see.
     assert metrics["assembly.terms"] > 0
     assert metrics["j_kernel.cutoff_evals_per_integral"] > 0
+    # The grid call makes one kernel call per J order (m = 1, and m = 2 with
+    # two), each returning a (grid point, y) table of 11 points by 3
+    # eigenvalues, and every integral in it is counted.
+    grid_j = [s for s in tracer.spans if s.name == "_log_j_batch" and s.request == "grid"]
+    assert (len(grid_j), sum(s.counts["integrals"] for s in grid_j)) == (3, 3 * 11 * 3)
     assert metrics["escalation.mp_calls"] >= 1
     assert metrics["escalation.rows"] >= 2
     assert metrics["oracle.mc_draws"] == 1000

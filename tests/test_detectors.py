@@ -434,6 +434,19 @@ class TestExtendedPrecision:
         ext = source_count_posteriors(self.x, self.s2, 2, precision="extended")
         assert np.allclose(ext.probabilities, std.probabilities, rtol=1e-10, atol=0.0)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 7: the m=4 sum is accepted at "
+                       "11.90 digits cancelled, yet ln C is +9.54 against -2.99 in "
+                       "extended precision, so the decision flips")
+    def test_accepted_four_source_ratio_matches_extended(self):
+        # The benchmark's escalate4 input at detect_mix seed 1, pass 5: the
+        # receiver assumes noise 9 dB above the truth.
+        x = EigenSpectrum([14.914110074720558, 8.515530331671943,
+                           3.7590369771385435, 1.7433465555413366], 8)
+        prior = PriorConfig(ExactCount(4), ExactNoise(10.0 ** 0.9))
+        std = detection_log_ratio(x, prior)
+        ext = detection_log_ratio(x, prior, precision="extended")
+        assert abs(std.log_ratio.log_magnitude - ext.log_ratio.log_magnitude) <= 1e-8
+
     def test_unknown_mode_rejected(self):
         prior = PriorConfig(ExactCount(1), ExactNoise(self.s2))
         with pytest.raises(DomainError):

@@ -17,8 +17,33 @@ from eigensense import (
     lemma1_determinant,
     signed_log_sum,
 )
-from eigensense.special import _log_j_batch, _log_j_segment_mp
+from eigensense.special import (
+    _GL_PANEL,
+    _TAIL_NATS,
+    _g_log_integrand,
+    _log_j_batch,
+    _log_j_segment_mp,
+    _peak_t,
+)
 from mp_reference import mp_j
+
+# Lower-limit grids for the grid form of _log_j_batch, by what they exercise.
+_GRID_CASES = {
+    # Grid points below and above the peaks: some pairs share their row's
+    # upper side, the others integrate from ln x.
+    "straddle": (-5, np.geomspace(0.3, 30.0, 11), np.geomspace(1e-3, 1e3, 41)),
+    # y = 0 rows: at k + 1 <= 0 the peak is on ln x at every grid point.
+    "y0_k-1": (-1, np.geomspace(0.05, 20.0, 7),
+               np.concatenate([[0.0, 0.0], np.geomspace(1e-6, 50, 9)])),
+    "y0_k2": (2, np.geomspace(0.05, 20.0, 7), np.concatenate([[0.0], np.geomspace(1e-6, 50, 9)])),
+    # y far above x: the left tail falls 60 nats below the peak before ln x,
+    # so those pairs bisect a lower cut and the others do not.
+    "lower_cut": (-6, np.array([0.5, 1.0, 2.0, 40.0]), np.geomspace(10.0, 1e6, 30)),
+    # x < 0.05: sides of several panels, above and below the peak.
+    "small_x": (-1, np.geomspace(1e-30, 1e-2, 6),
+                np.concatenate([[0.0], np.geomspace(1e-30, 1.0, 20)])),
+    "small_x_k-12": (-12, np.geomspace(1e-10, 1e-2, 5), np.geomspace(1e-12, 1e-3, 12)),
+}
 
 
 class TestSignedLog:
@@ -160,6 +185,33 @@ class TestJIntegral:
         whole = _log_j_batch(-1, 1e-300, ys)
         alone = np.array([_log_j_batch(-1, 1e-300, ys[i:i + 1])[0] for i in range(ys.size)])
         assert whole.tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("k, xs, ys", _GRID_CASES.values(), ids=_GRID_CASES.keys())
+    def test_grid_point_matches_its_own_call(self, k, xs, ys):
+        grid = _log_j_batch(k, xs, ys)
+        assert grid.shape == (xs.size, ys.size)
+        for p, x in enumerate(xs):
+            assert grid[p].tobytes() == _log_j_batch(k, float(x), ys).tobytes(), x
+        # A one-point grid is a float x with one more axis.
+        one = _log_j_batch(k, xs[-1:], ys)
+        assert one.shape == (1, ys.size)
+        assert one.tobytes() == _log_j_batch(k, float(xs[-1]), ys).tobytes()
+
+    def test_grid_cases_reach_every_kind_of_pair(self):
+        # Pairs whose peak lies above ln x (sharing the row's upper side),
+        # pairs integrated from ln x, shared pairs with and without a lower
+        # cut, and lower sides of several panels.
+        seen = np.zeros(5, dtype=bool)
+        for k, xs, ys in _GRID_CASES.values():
+            ln_x = np.log(xs)[:, None]
+            t = _peak_t(k + 1.0, ys)
+            u_star = np.log(np.where(t > 0.0, t, np.nan))
+            two = ln_x < u_star
+            gmax = _g_log_integrand(np.where(two, u_star, ln_x), k + 1.0, ys)
+            cut = two & (_g_log_integrand(ln_x, k + 1.0, ys) < gmax - _TAIL_NATS)
+            wide = two & ~cut & (u_star - ln_x > _GL_PANEL)
+            seen |= [two.any(), (~two).any(), cut.any(), (two & ~cut).any(), wide.any()]
+        assert seen.all(), seen
 
     @pytest.mark.parametrize("ks, xs, ys", [
         # 480 points, y up to 1e20 and x up to 1e6.
