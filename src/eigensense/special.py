@@ -7,7 +7,8 @@ therefore carries values as (sign, log|value|) pairs:
 
 * :class:`SignedLog` plus :func:`signed_log_sum` implement exact-sign
   log-domain accumulation with a cancellation diagnostic; signed_log_sum is
-  the one-row case of ``_signed_lse_rows``, which the detectors run on stacks.
+  the one-row case of ``_signed_lse_rows``, which sums each row of a stack
+  by one NumPy reduction; signed_log_sum alone sorts its row first.
 * :func:`j_integral` evaluates J_k(x, y) = integral of t^k e^(-t - y/t)
   over [x, inf) by fixed 32-node Gauss-Legendre panels on each side of the
   integrand's peak in u = ln t, returning the log of the (always positive)
@@ -120,27 +121,17 @@ class CancellationReport:
 
 
 def _signed_lse_rows(signs: np.ndarray, logmags: np.ndarray):
-    """Row sums of sign*exp(logmag) terms with max-shifted, compensated accumulation.
+    """Row sums of sign*exp(logmag) terms, max-shifted, by one reduction per row.
 
-    Each row's terms are first put in a canonical order (log-magnitude
-    descending, sign as tie-break) so its sum does not depend on term order.
-    Returns (sign, log_magnitude, peak_term_log, cancellation_digits), each
-    of shape (B,).  Rows whose terms are all zero sum to sign 0.
+    Each row is summed on its own, so a row gives the same bits wherever it
+    sits in the batch; terms are added in the order given.  Returns
+    (sign, log_magnitude, peak_term_log, cancellation_digits), each of
+    shape (B,).  Rows whose terms are all zero sum to sign 0.
     """
-    order = np.lexsort((signs, -logmags), axis=-1)
-    sm = np.take_along_axis(signs, order, axis=-1)
-    lm = np.take_along_axis(logmags, order, axis=-1)
-    peak = lm[:, 0].copy()
+    peak = logmags.max(axis=-1)
     finite_peak = np.isfinite(peak)
-    shifted = np.where(finite_peak[:, None], lm - peak[:, None], -np.inf)
-    terms = sm * np.exp(shifted)
-    total = np.zeros(signs.shape[0])
-    comp = np.zeros(signs.shape[0])
-    for col in range(terms.shape[1]):
-        y = terms[:, col] - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
+    shifted = np.where(finite_peak[:, None], logmags - peak[:, None], -np.inf)
+    total = (signs * np.exp(shifted)).sum(axis=-1)
     nonzero = total != 0.0
     safe = np.where(nonzero, np.abs(total), 1.0)
     with np.errstate(divide="ignore"):
@@ -156,13 +147,19 @@ def _signed_lse_rows(signs: np.ndarray, logmags: np.ndarray):
 def signed_log_sum(terms) -> tuple[SignedLog, CancellationReport]:
     """Sum SignedLog terms: the one-row case of the row kernel above.
 
-    The result does not depend on input order.  Returns the sum and a
-    CancellationReport; an empty or all-zero input sums to zero.
+    The row is sorted by log magnitude, largest first, sign as tie-break, so
+    the result does not depend on input order.  Returns the sum and a
+    CancellationReport; an empty or all-zero input sums to zero.  A nonzero
+    term whose log magnitude is +inf or NaN raises DomainError.
     """
-    live = [(t.sign, t.log_magnitude) for t in terms if t.sign != 0]
+    live = [t for t in terms if t.sign != 0 and t.log_magnitude != -math.inf]
+    for t in live:
+        if not math.isfinite(t.log_magnitude):
+            raise DomainError(f"signed_log_sum requires finite terms, got {t}")
     if not live:
         return SignedLog.zero(), CancellationReport(-math.inf, -math.inf, 0.0)
-    signs, logmags = np.array(live, dtype=float).T[:, None, :]
+    live.sort(key=lambda t: (-t.log_magnitude, t.sign))
+    signs, logmags = np.array([(t.sign, t.log_magnitude) for t in live], dtype=float).T[:, None, :]
     sign, log_mag, peak, digits = (float(v[0]) for v in _signed_lse_rows(signs, logmags))
     return SignedLog(int(sign), log_mag), CancellationReport(peak, log_mag, digits)
 

@@ -71,6 +71,12 @@ def test_instrument_resolves_every_name_and_uninstall_restores_it():
     # eigenvalues, and every integral in it is counted.
     grid_j = [s for s in tracer.spans if s.name == "_log_j_batch" and s.request == "grid"]
     assert (len(grid_j), sum(s.counts["integrals"] for s in grid_j)) == (3, 3 * 11 * 3)
+    # Its assembly is one _mimo_batch per source count and one signed row sum
+    # per (source count, grid point), counting the (B, T) sign array: T = 3
+    # terms at m = 1 and 3 * 2 tuples times 2 permutations at m = 2.
+    grid_rows = [s for s in tracer.spans if s.name == "_signed_lse_rows" and s.request == "grid"]
+    assert (len(grid_rows), sum(s.counts["terms"] for s in grid_rows)) == (22, 11 * (3 + 12))
+    assert sum(s.name == "_mimo_batch" and s.request == "grid" for s in tracer.spans) == 2
     assert metrics["escalation.mp_calls"] >= 1
     assert metrics["escalation.rows"] >= 2
     assert metrics["oracle.mc_draws"] == 1000

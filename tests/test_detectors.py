@@ -447,6 +447,19 @@ class TestExtendedPrecision:
         ext = detection_log_ratio(x, prior, precision="extended")
         assert abs(std.log_ratio.log_magnitude - ext.log_ratio.log_magnitude) <= 1e-8
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 7: the m=4 sum is accepted at "
+                       "11.62 digits cancelled, 1.38 fewer than its largest distinct "
+                       "term shows, yet ln C is +8.27 against -0.156 in extended "
+                       "precision, so the decision flips")
+    def test_accepted_six_sensor_four_source_ratio_matches_extended(self):
+        # Scenario(6, 9, 1, -7.209564731545271, 64, 676689), H1 trial 35.
+        x = EigenSpectrum([118.7605109341104, 100.75905288910276, 47.87697551577943,
+                           37.927688967607644, 34.43556591056647, 9.851014201690528], 9)
+        prior = PriorConfig(ExactCount(4), ExactNoise(5.963403574933445))
+        std = detection_log_ratio(x, prior)
+        ext = detection_log_ratio(x, prior, precision="extended")
+        assert abs(std.log_ratio.log_magnitude - ext.log_ratio.log_magnitude) <= 1e-8
+
     def test_unknown_mode_rejected(self):
         prior = PriorConfig(ExactCount(1), ExactNoise(self.s2))
         with pytest.raises(DomainError):

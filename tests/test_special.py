@@ -1,6 +1,7 @@
 """Unit tests for signed log arithmetic and the J / kappa / determinant kernels."""
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -24,6 +25,7 @@ from eigensense.special import (
     _log_j_batch,
     _log_j_segment_mp,
     _peak_t,
+    _signed_lse_rows,
 )
 from mp_reference import mp_j
 
@@ -115,6 +117,48 @@ class TestSignedLogSum:
     def test_empty_sums_to_zero(self):
         total, report = signed_log_sum([])
         assert total.sign == 0 and report.cancellation_digits == 0.0
+
+    def test_zero_term_at_minus_inf_is_dropped(self):
+        total, _ = signed_log_sum([SignedLog(1, 0.0), SignedLog(-1, -math.inf)])
+        assert total == SignedLog(1, 0.0)
+
+    @pytest.mark.parametrize("terms", [[SignedLog(1, math.inf)],
+                                       [SignedLog(1, math.nan), SignedLog(1, 0.0)]],
+                             ids=["inf", "nan"])
+    def test_non_finite_term_raises(self, terms):
+        with pytest.raises(DomainError, match=re.escape(str(terms[0]))):
+            signed_log_sum(terms)
+
+
+class TestSignedRows:
+    """_signed_lse_rows sums each row on its own, within the bound of an
+    uncompensated sum."""
+
+    # Terms per row: m = 1 and m = 2 at N = 4, m = 4 at N = 4, m = 3 at N = 6.
+    @pytest.mark.parametrize("n_terms", [4, 24, 576, 720])
+    def test_rows_are_local_and_bounded(self, n_terms):
+        rng = np.random.default_rng(n_terms)
+        rows, half = 4099, n_terms // 2
+        # Each term has a partner of the other sign, 1e-10 to 1e-5 relatively
+        # smaller, so every row cancels by more than four digits and the
+        # rounding of recovering its total from log_mag is far below the bound.
+        lm = rng.uniform(-30.0, 0.0, (rows, half))
+        rel = 10.0 ** rng.uniform(-10.0, -5.0, (rows, half))
+        logmags = np.concatenate([lm, lm + np.log1p(-rel)], axis=1) + rng.uniform(-5, 5, (rows, 1))
+        signs = np.concatenate([np.ones((rows, half)), -np.ones((rows, half))], axis=1)
+        order = rng.permuted(np.tile(np.arange(n_terms), (rows, 1)), axis=1)
+        signs = np.take_along_axis(signs, order, axis=1)
+        logmags = np.take_along_axis(logmags, order, axis=1)
+        sign, log_mag, peak, digits = _signed_lse_rows(signs, logmags)
+        assert np.all(digits > 4.0)
+        eps = np.finfo(float).eps / 2
+        for r in range(rows):
+            alone = _signed_lse_rows(signs[r:r + 1], logmags[r:r + 1])
+            assert [v[0] for v in alone] == [sign[r], log_mag[r], peak[r], digits[r]], r
+            terms = signs[r] * np.exp(logmags[r] - peak[r])
+            total = sign[r] * math.exp(log_mag[r] - peak[r])
+            bound = (n_terms - 1) * eps * np.abs(terms).sum()
+            assert abs(total - math.fsum(terms)) <= bound, r
 
 
 class TestJIntegral:
