@@ -3,8 +3,9 @@
 Implements, all as functions of the eigenvalues x_1 >= ... >= x_N of Y Y^H:
 
 * the pure-noise log likelihood,
-* the signal likelihood of m <= N sources (MIMO), assembled term-by-term
-  in signed log arithmetic; one source (SIMO) is the same sum at m=1,
+* the signal likelihood of m <= N sources (MIMO), an m x m determinant of
+  divided differences whose entries are signed log sums; one source (SIMO)
+  is the same determinant at m=1,
 * the decision ratio C = P(signal)/P(noise) for every combination of
   known or uniformly distributed source count and known/gridded noise power,
 * the classical energy detector baseline, and
@@ -13,18 +14,17 @@ Implements, all as functions of the eigenvalues x_1 >= ... >= x_N of Y Y^H:
 Each statistic has one evaluation path: the batch kernels (guard, signal
 components per (m, sigma2), logsumexp combine, energy) run on (B, N) stacks,
 and the scalar API runs them at B=1, bit for bit.  One source is the
-m-source sum at m=1.
+m-source determinant at m=1.
 
-The alternating sums in the closed forms can cancel catastrophically when
-eigenvalues cluster, so every component tracks its cancellation severity; one
-that lost more than CANCEL_DIGITS_LIMIT digits, is non-finite or has the wrong
-sign is flagged in a batch and re-run in multiprecision on the scalar path.
+The divided differences cancel catastrophically when eigenvalues cluster, and
+the determinant can amplify what they lost, so every component reports the
+digits it may have lost; one that lost more than CANCEL_DIGITS_LIMIT digits,
+is non-finite or has the wrong sign is flagged in a batch and re-run in
+multiprecision on the scalar path.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -307,74 +307,32 @@ def log_noise_likelihood(x: EigenSpectrum, sigma2: float) -> float:
 # ---------------------------------------------------------------------------
 # Signal likelihood (m sources, m <= N; one source is m=1)
 # ---------------------------------------------------------------------------
+# The likelihood is a ratio of determinants.  With the spectrum descending,
+# x_1 > ... > x_N, and F_j(x) = e^{x/sigma2} J_{N-L-2+j}(m sigma2, m x),
+#
+#   ln P(Y | m sources) = prefactor + ln det D,
+#   D[k, j] = F_j[x_{m-k+1}, ..., x_N]   (k, j = 1..m),
+#
+# where f[...] is the divided difference of f over the N-m+k smallest
+# eigenvalues.  det D = +-det[F_1 .. F_m | x^{N-m-1} .. x^0] / Vandermonde(x):
+# Newton elimination turns row i of that N x N matrix into the divided
+# difference over the i smallest eigenvalues, which vanishes on x^p for
+# p < i - 1, so the polynomial block becomes triangular with a unit
+# anti-diagonal and what is left is D.
 
-def _log_gaps(gvals: np.ndarray) -> np.ndarray:
-    """log|x_i - x_j| over a (B, N) stack, flattened to (B, N*N) with index
-    i*N + j; the diagonal holds 0."""
-    b, n = gvals.shape
-    absd = np.abs(gvals[:, :, None] - gvals[:, None, :]).reshape(b, n * n)
-    absd[:, :: n + 1] = 1.0
-    return np.log(absd)
-
-
-def _perm_sign(perm) -> int:
-    inversions = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
-                     if perm[i] > perm[j])
-    return -1 if inversions % 2 else 1
-
-
-@functools.lru_cache(maxsize=None)
-def _mimo_tables(n: int, m: int):
-    """Gather tables of the m-source sum, shared by the double and mpmath paths.
-
-    The terms are the ordered m-tuples a of distinct sensor indices, each with
-    every permutation b of the J orders 1..m, tuple-major.  Read-only arrays:
-
-    * tuples (T, m): the tuples a;
-    * gaps: per i < m, the (T, N-1-i) flat gap indices a_i*N + j over the j
-      not in a_1..a_i, which divide the term;
-    * jcols (m, T*P): per l < m, the flat J index (b_l - 1)*N + a_l of every
-      term;
-    * signs (T*P,): b's parity times the global (-1)^(m(m-1)/2), which makes
-      the likelihood positive, times the signs of the term's gaps, which the
-      descending order of the spectrum fixes.
-    """
-    tuples = list(itertools.permutations(range(n), m))
-    perms = list(itertools.permutations(range(m)))
-    sign_pref = -1 if (m * (m - 1) // 2) % 2 else 1
-    gaps = [[] for _ in range(m)]
-    signs = []
-    for a in tuples:
-        gap_sign = sign_pref
-        for i in range(m):
-            keep = [j for j in range(n) if j not in a[: i + 1]]
-            gaps[i].append([a[i] * n + j for j in keep])
-            gap_sign *= -1 if sum(j < a[i] for j in keep) % 2 else 1
-        signs += [gap_sign * _perm_sign(p) for p in perms]
-    jcols = [[p[l] * n + a[l] for a in tuples for p in perms] for l in range(m)]
-    gaps = tuple(np.array(g, dtype=np.intp).reshape(len(tuples), n - 1 - i)
-                 for i, g in enumerate(gaps))
-    tables = (np.array(tuples, dtype=np.intp), gaps, np.array(jcols, dtype=np.intp),
-              np.array(signs, dtype=float))
-    for arr in (tables[0], *gaps, *tables[2:]):
-        arr.setflags(write=False)
-    return tables
-
-
-def _mimo_prefactor_rows(gvals: np.ndarray, L: int, m: int, sigma2: float) -> np.ndarray:
-    # Leading constant is 1/m! (each m-subset of sensors appears m! times in
-    # the ordered-tuple sum); validated against the Monte Carlo oracle at
-    # (N=3, m=2) and (N=4, m=2).  At m=1 it is the one-source constant, fixed
-    # against three independent oracles (Monte Carlo channel averaging, and
-    # direct quadrature at N=1 and N=2).
-    b, n = gvals.shape
-    const = (-math.lgamma(m + 1)
-             + 0.5 * m * (2 * L - m + 1) * math.log(m)
-             + m * m * sigma2
+def _mimo_prefactor_rows(gvals: np.ndarray, L: int, m: int, points: np.ndarray) -> np.ndarray:
+    """The prefactor of ln P for a (B, N) stack at each sigma2 in points: (P, B)."""
+    # The constant was validated against the Monte Carlo oracle at (N=3, m=2)
+    # and (N=4, m=2).  At m=1 it is the one-source constant, fixed against
+    # three independent oracles (Monte Carlo channel averaging, and direct
+    # quadrature at N=1 and N=2).
+    n = gvals.shape[1]
+    const = [0.5 * m * (2 * L - m + 1) * math.log(m)
+             + m * m * s2
              - n * L * _LOG_PI
-             - (n - m) * (L - m) * math.log(sigma2)
-             - sum(math.lgamma(j + 1) for j in range(1, m)))
-    return const - gvals.sum(axis=1) / sigma2
+             - (n - m) * (L - m) * math.log(s2)
+             - sum(math.lgamma(j + 1) for j in range(1, m)) for s2 in points.tolist()]
+    return np.array(const)[:, None] - gvals.sum(axis=1) / points[:, None]
 
 
 def _mimo_batch(gvals: np.ndarray, L: int, m: int, points: np.ndarray):
@@ -382,31 +340,71 @@ def _mimo_batch(gvals: np.ndarray, L: int, m: int, points: np.ndarray):
     spectra, for every sigma2 in points: one (sign, log_mag, peak, digits)
     row tuple per point.
 
-    Outer sum over ordered m-tuples a of distinct sensor indices; inner
-    alternating sum over permutations b of {1..m} of products
-    J_{N-L-2+b_l}(m sigma2, m x_{a_l}); everything in signed log space, every
-    term gathered through _mimo_tables.  One source is m=1.  Each J order is
-    one kernel call over the whole grid.
+    ln P is the prefactor plus ln det D (see above).  Each entry of D at each
+    grid point is one row of _signed_lse_rows: the terms
+    (-1)^pos F_j(x_i) / prod |x_i - x_l| over the entry's points in
+    descending order, padded at the front to N terms by zeros.  At m=1, D is
+    that one sum, with its own digits and peak term.  Otherwise the stack of
+    every D, all grid points at once, is scaled in the log domain, by column
+    and then by row, and goes to one np.linalg.slogdet; digits is log10 of
+    sum_kj |cofactor_kj| max(|D_kj|, e^{peak_kj}) / |det D|, the cofactors
+    over det D being the entries of the inverse, and peak is
+    ln P + digits ln 10.  Each J order is one kernel call over the whole grid.
     """
     b, n = gvals.shape
     points = np.asarray(points, dtype=float)
-    tuples, gaps, jcols, signs = _mimo_tables(n, m)
     my = (m * gvals).ravel()
-    tables = [_log_j_batch(n - L - 2 + j, m * points, my) for j in range(1, m + 1)]
-    logabs = _log_gaps(gvals)
-    # From 0, left to right over gap groups and J factors: the order fixes the bits.
-    dlog = sum(logabs[:, g].sum(axis=2) for g in gaps)
-    tuple_sums = gvals[:, tuples].sum(axis=2)
-    signs = signs[None, :].repeat(b, axis=0)
-    out = []
-    for p, sigma2 in enumerate(points.tolist()):
-        jlog = np.concatenate([t[p].reshape(b, n) for t in tables], axis=1)
-        jl = sum(jlog[:, c] for c in jcols).reshape(b, len(tuples), -1)
-        logmags = ((tuple_sums / sigma2)[:, :, None] + jl - dlog[:, :, None]).reshape(b, -1)
-        sign, log_mag, peak, digits = _signed_lse_rows(signs, logmags)
-        pref = _mimo_prefactor_rows(gvals, L, m, sigma2)
-        out.append((sign, log_mag + pref, peak + pref, digits))
-    return out
+    jlog = np.stack([_log_j_batch(n - L - 2 + j, m * points, my) for j in range(1, m + 1)]
+                    ).reshape(m, len(points), b, n)
+    # Arrays put D's indices (k, j) first, so D's row and column reductions
+    # combine whole slabs.  Row k of D takes the points s = m-1-k .. N-1; the
+    # points before s are zero terms, with gap sum +inf and sign 0.
+    # off[q, :, i] is log|x_i - x_l| for the q-th l != i (the diagonal drops
+    # out of the flattened matrix as every (n+1)-th entry), so the gaps of x_i
+    # over the points from s on are off[s:, :, i], summed left to right.
+    diff = (gvals[:, :, None] - gvals[:, None, :]).reshape(b, n * n)[:, 1:]
+    off = np.log(np.abs(diff.reshape(b, n - 1, n + 1)[:, :, :n]))
+    off = off.reshape(b, n, n - 1).transpose(2, 0, 1).copy()
+    gaps = np.full((m, 1, 1, b, n), np.inf)
+    signs = np.zeros((m, 1, 1, 1, n))
+    for k in range(m):
+        s = m - 1 - k
+        gaps[k, 0, 0, :, s:] = off[s:, :, s:].sum(axis=0)
+        signs[k, ..., s::2] = 1.0
+        signs[k, ..., s + 1::2] = -1.0
+    pref = _mimo_prefactor_rows(gvals, L, m, points)
+    # One row sum per block of grid points, each block of at most 2^15 terms
+    # (at least one point), which bounds the temporaries.
+    entries = np.empty((4, m, m, len(points), b))
+    step = max(1, (1 << 15) // (m * m * b * n))
+    for lo in range(0, len(points), step):
+        blk = slice(lo, lo + step)
+        logmags = gvals / points[blk, None, None] + jlog[:, blk] - gaps
+        rows = np.empty(logmags.shape)
+        rows[...] = signs
+        entries[:, :, :, blk] = np.reshape(
+            _signed_lse_rows(rows.reshape(-1, n), logmags.reshape(-1, n)), (4, m, m, -1, b))
+    sign, ell, peak, digits = entries
+    if m == 1:  # D is its one entry, which needs no determinant
+        return list(zip(sign[0, 0], ell[0, 0] + pref, peak[0, 0] + pref, digits[0, 0]))
+    col = ell.max(axis=0)
+    col = np.where(np.isfinite(col), col, 0.0)
+    by_col = ell - col
+    row = by_col.max(axis=1, keepdims=True)
+    row = np.where(np.isfinite(row), row, 0.0)
+    scaled = sign * np.exp(by_col - row)
+    mats = scaled.transpose(2, 3, 0, 1)
+    det_sign, log_det = np.linalg.slogdet(mats)
+    # An exactly singular D becomes the identity first, so inv cannot raise
+    # and every row stays independent of the others.
+    inv = np.linalg.inv(np.where(det_sign[..., None, None] != 0, mats, np.eye(m)))
+    with np.errstate(invalid="ignore"):
+        weights = np.abs(inv.transpose(3, 2, 0, 1) * scaled) * 10.0 ** digits
+        cond = np.log10(weights.sum(axis=(0, 1)))
+    cond = np.where(np.isnan(cond) | (det_sign == 0), np.inf, cond)
+    log_mag = log_det + col.sum(axis=0) + row.sum(axis=(0, 1)) + pref
+    peak = np.where(det_sign != 0, log_mag + cond * _LN10, -np.inf)
+    return list(zip(det_sign, log_mag, peak, cond))
 
 
 def _simo_batch(gvals: np.ndarray, L: int, points: np.ndarray):
@@ -416,47 +414,40 @@ def _simo_batch(gvals: np.ndarray, L: int, points: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Multiprecision fallback (the same term tables as _mimo_batch)
+# Multiprecision fallback (the same D as _mimo_batch)
 # ---------------------------------------------------------------------------
 
 def _signal_mp(gvals: np.ndarray, L: int, m: int, sigma2: float, dps: int):
     """Multiprecision ln P(Y | m sources); returns (sign, logmag, peak, digits).
 
-    Only the J values and the signed sum run in mpmath: the term tables and
-    the prefactor are the double path's.
+    Builds _mimo_batch's D from m*N multiprecision J values and takes mp.det;
+    digits and peak are _mimo_batch's, and the prefactor is the double path's.
     """
     n = gvals.size
-    tuples, gaps, jcols, signs = _mimo_tables(n, m)
-    n_perms = jcols.shape[1] // len(tuples)
-    pref = float(_mimo_prefactor_rows(gvals[None, :], L, m, sigma2)[0])
+    pref = float(_mimo_prefactor_rows(gvals[None, :], L, m, np.array([sigma2]))[0, 0])
     with mp.workdps(dps):
         s2 = mp.mpf(sigma2)
         xs = [mp.mpf(float(v)) for v in gvals]
         if len(set(xs)) < n:
             raise DegeneracyError("degenerate spectrum reached the multiprecision path")
         u_lo = mp.log(m * s2)
-        jlog = [_log_j_segment_mp(n - L - 2 + j, m * x, u_lo, mp.inf, dps)
-                for j in range(1, m + 1) for x in xs]
-        logabs = [mp.log(abs(xs[i] - xs[j])) if i != j else mp.mpf(0)
-                  for i in range(n) for j in range(n)]
-
-        term_logs = []
-        for t, a in enumerate(tuples.tolist()):
-            dlog = mp.mpf(0)
-            for g in gaps:
-                for k in g[t].tolist():
-                    dlog += logabs[k]
-            eterm = mp.fsum(xs[i] for i in a) / s2
-            for c in jcols[:, t * n_perms:(t + 1) * n_perms].T.tolist():
-                term_logs.append(eterm + mp.fsum(jlog[k] for k in c) - dlog)
-
-        peak = max(term_logs)
-        total = mp.fsum(s * mp.exp(lm - peak) for s, lm in zip(signs.tolist(), term_logs))
-        if total == 0:
-            return 0, -math.inf, float(peak + pref), math.inf
-        log_mag = peak + mp.log(abs(total)) + pref
-        digits = max(0.0, float(-mp.log(abs(total)) / mp.log(10)))
-        return (1 if total > 0 else -1), float(log_mag), float(peak + pref), digits
+        f = [[mp.exp(x / s2 + _log_j_segment_mp(n - L - 2 + j, m * x, u_lo, mp.inf, dps))
+              for x in xs] for j in range(1, m + 1)]
+        d, top = mp.matrix(m, m), mp.matrix(m, m)
+        for k in range(m):
+            pts = range(m - 1 - k, n)
+            for j in range(m):
+                terms = [f[j][i] / mp.fprod(xs[i] - xs[l] for l in pts if l != i) for i in pts]
+                d[k, j] = mp.fsum(terms)
+                top[k, j] = max(abs(t) for t in terms)
+        det = mp.det(d)
+        if det == 0:
+            return 0, -math.inf, -math.inf, math.inf
+        inv = mp.inverse(d)
+        digits = float(mp.log10(mp.fsum(abs(inv[j, k]) * max(abs(d[k, j]), top[k, j])
+                                        for k in range(m) for j in range(m))))
+        log_mag = float(mp.log(abs(det)) + pref)
+        return (1 if det > 0 else -1), log_mag, log_mag + digits * _LN10, digits
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +528,7 @@ def _components_at_one(gvals: np.ndarray, L: int, ms, points, precision: str):
         batch = _component_rows(gvals[None, :], L, ms, points)
     rows = []
     extended = False
-    for i, (m, p) in enumerate(itertools.product(ms, points)):
+    for i, (m, p) in enumerate((m, p) for m in ms for p in points):
         digits = math.inf
         if batch is not None:
             row = tuple(float(a[0]) for a in batch[i])

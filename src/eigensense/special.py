@@ -108,11 +108,13 @@ class SignedLog:
 
 @dataclass(frozen=True)
 class CancellationReport:
-    """Severity record for a signed sum.
+    """Severity record for a signed sum or a likelihood component.
 
     cancellation_digits = (peak_term_log - result_log) / ln 10, i.e. how many
     leading decimal digits were lost to cancellation.  +inf marks an exact
     cancellation to zero, 0 marks a sum that never shrank below its peak term.
+    A likelihood component det D (m >= 2) reports log10 of sum_kj |cofactor_kj|
+    max(|D_kj|, e^{peak_kj}) / |det D|, peak_kj being the largest term of D_kj.
     """
 
     peak_term_log: float

@@ -71,11 +71,13 @@ def test_instrument_resolves_every_name_and_uninstall_restores_it():
     # eigenvalues, and every integral in it is counted.
     grid_j = [s for s in tracer.spans if s.name == "_log_j_batch" and s.request == "grid"]
     assert (len(grid_j), sum(s.counts["integrals"] for s in grid_j)) == (3, 3 * 11 * 3)
-    # Its assembly is one _mimo_batch per source count and one signed row sum
-    # per (source count, grid point), counting the (B, T) sign array: T = 3
-    # terms at m = 1 and 3 * 2 tuples times 2 permutations at m = 2.
+    # Its assembly is one _mimo_batch per source count, and at one spectrum
+    # one signed row sum per source count over all 11 grid points, counting
+    # the sign array: one row of N = 3 terms per entry of the m x m matrix D
+    # and grid point, that is 3 terms at m = 1 and 2 * 2 rows of 3 at m = 2
+    # (a row over fewer points is padded by zeros).
     grid_rows = [s for s in tracer.spans if s.name == "_signed_lse_rows" and s.request == "grid"]
-    assert (len(grid_rows), sum(s.counts["terms"] for s in grid_rows)) == (22, 11 * (3 + 12))
+    assert (len(grid_rows), sum(s.counts["terms"] for s in grid_rows)) == (2, 11 * (3 + 12))
     assert sum(s.name == "_mimo_batch" and s.request == "grid" for s in tracer.spans) == 2
     assert metrics["escalation.mp_calls"] >= 1
     assert metrics["escalation.rows"] >= 2

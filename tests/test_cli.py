@@ -8,6 +8,7 @@ full file round trip.
 
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -254,6 +255,25 @@ class TestCount:
         assert reports["extended"]["config"]["precision"] == "extended"
         assert np.allclose(reports["extended"]["probabilities"],
                            reports["standard"]["probabilities"], rtol=1e-10, atol=0.0)
+
+    def test_eight_sensors_up_to_eight_sources(self, tmp_path):
+        # Scenario(8, 12, 2, 0.0, 4, 3), H1 trial 0, at sigma2 = 3: the
+        # components m = 6 to 8 cancel past the double-precision limit and go
+        # to multiprecision, so this takes seconds, not milliseconds.
+        obs = _write_eigs(tmp_path, [86.60730985314353, 56.81107768542161,
+                                     19.79572539081958, 14.171051677999527,
+                                     11.099622394107278, 7.3459963928786705,
+                                     5.33377484747598, 4.052837112987291], 12)
+        out = tmp_path / "count.json"
+        start = time.perf_counter()
+        code = main(["count", "--input", obs, "--sigma2", "3", "--m-max", "8",
+                     "--output", str(out)])
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["counts"] == list(range(9))
+        assert sum(report["probabilities"]) == pytest.approx(1.0, abs=1e-9)
+        assert elapsed < 30.0, elapsed
 
     def test_overflowing_odds_are_null_in_strict_json(self, tmp_path):
         # One huge eigenvalue: the noise hypothesis is so unlikely that the

@@ -8,6 +8,7 @@ internals.
 """
 
 import math
+import time
 import warnings
 
 import mpmath as mp
@@ -145,6 +146,32 @@ class TestMultiSourceLikelihood:
             assert got.sign == 1
             assert got.log_magnitude == pytest.approx(ref, abs=1e-9)
             done += 1
+
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_eight_sensors_match_extended_within_reported_digits(self, m):
+        # Scenario(8, 12, 2, 3.0, 4, 7), H1 trial 0: 5.5 and 7.2 digits.
+        x = EigenSpectrum([55.860111544770206, 38.04393673314062, 13.391854506394639,
+                           5.440360176759242, 4.828103697480852, 2.7802043987793827,
+                           1.8866487449623173, 1.1299825903984968], 12)
+        prior = PriorConfig(ExactCount(m), ExactNoise(1.0))
+        std = detection_log_ratio(x, prior)
+        ext = detection_log_ratio(x, prior, precision="extended")
+        assert not std.extended_used
+        err = abs(std.log_ratio.log_magnitude - ext.log_ratio.log_magnitude)
+        assert err <= 10.0 ** (std.cancellation.cancellation_digits - 13.0), err
+
+    def test_eight_sources_on_eight_sensors_within_budget(self):
+        # Scenario(8, 12, 2, 0.0, 4, 3), H1 trial 0, at sigma2 = 3: m=8
+        # cancels past the double-precision limit, so this is 64 J segments
+        # and one 8x8 determinant in multiprecision.
+        x = EigenSpectrum([86.60730985314353, 56.81107768542161, 19.79572539081958,
+                           14.171051677999527, 11.099622394107278, 7.3459963928786705,
+                           5.33377484747598, 4.052837112987291], 12)
+        start = time.perf_counter()
+        got = log_mimo_signal_likelihood(x, 8, 3.0)
+        elapsed = time.perf_counter() - start
+        assert got.sign == 1 and math.isfinite(got.log_magnitude)
+        assert elapsed < 10.0, elapsed
 
     def test_rejects_more_sources_than_sensors(self):
         x = EigenSpectrum([3.0, 1.0], 5)
@@ -434,9 +461,10 @@ class TestExtendedPrecision:
         ext = source_count_posteriors(self.x, self.s2, 2, precision="extended")
         assert np.allclose(ext.probabilities, std.probabilities, rtol=1e-10, atol=0.0)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 7: the m=4 sum is accepted at "
-                       "11.90 digits cancelled, yet ln C is +9.54 against -2.99 in "
-                       "extended precision, so the decision flips")
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 7: the m=4 determinant is "
+                       "accepted at 10.48 digits and ln C is 8.4e-5 from extended "
+                       "precision; J's 1e-13 rounding, amplified by the reported "
+                       "digits, is above this bound")
     def test_accepted_four_source_ratio_matches_extended(self):
         # The benchmark's escalate4 input at detect_mix seed 1, pass 5: the
         # receiver assumes noise 9 dB above the truth.
@@ -447,10 +475,10 @@ class TestExtendedPrecision:
         ext = detection_log_ratio(x, prior, precision="extended")
         assert abs(std.log_ratio.log_magnitude - ext.log_ratio.log_magnitude) <= 1e-8
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 7: the m=4 sum is accepted at "
-                       "11.62 digits cancelled, 1.38 fewer than its largest distinct "
-                       "term shows, yet ln C is +8.27 against -0.156 in extended "
-                       "precision, so the decision flips")
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 7: the m=4 determinant is "
+                       "accepted at 9.00 digits and ln C is 2.4e-7 from extended "
+                       "precision; J's 1e-13 rounding, amplified by the reported "
+                       "digits, is above this bound")
     def test_accepted_six_sensor_four_source_ratio_matches_extended(self):
         # Scenario(6, 9, 1, -7.209564731545271, 64, 676689), H1 trial 35.
         x = EigenSpectrum([118.7605109341104, 100.75905288910276, 47.87697551577943,
@@ -459,6 +487,27 @@ class TestExtendedPrecision:
         std = detection_log_ratio(x, prior)
         ext = detection_log_ratio(x, prior, precision="extended")
         assert abs(std.log_ratio.log_magnitude - ext.log_ratio.log_magnitude) <= 1e-8
+
+    @pytest.mark.parametrize("vals, L, sigma2", [
+        # The benchmark's escalate4 input at detect_mix seed 1, pass 5.
+        ([14.914110074720558, 8.515530331671943, 3.7590369771385435,
+          1.7433465555413366], 8, 10.0 ** 0.9),
+        # Scenario(6, 9, 1, -7.209564731545271, 64, 676689), H1 trial 35.
+        ([118.7605109341104, 100.75905288910276, 47.87697551577943,
+          37.927688967607644, 34.43556591056647, 9.851014201690528], 9, 5.963403574933445),
+        # Scenario(6, 9, 1, -4.640586964651652, 64, 10686), H0 trial 57.
+        ([51.437529961316294, 35.26111324593436, 31.550629106200255,
+          18.000291957243597, 10.565646921373366, 7.946295540646374], 9, 6.857332000441908),
+    ])
+    def test_accepted_four_source_ratio_keeps_the_extended_decision(self, vals, L, sigma2):
+        # A term-by-term sum accepted these at 11.6 to 12 digits cancelled,
+        # 8 to 26 nats off, with the decision flipped.
+        x = EigenSpectrum(vals, L)
+        prior = PriorConfig(ExactCount(4), ExactNoise(sigma2))
+        std = detection_log_ratio(x, prior)
+        ext = detection_log_ratio(x, prior, precision="extended")
+        assert abs(std.log_ratio.log_magnitude - ext.log_ratio.log_magnitude) <= 1e-3
+        assert std.decides_signal() == ext.decides_signal()
 
     def test_unknown_mode_rejected(self):
         prior = PriorConfig(ExactCount(1), ExactNoise(self.s2))

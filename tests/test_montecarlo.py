@@ -332,12 +332,13 @@ class TestRunRoc:
         assert np.array_equal(serial.cdr, threaded.cdr)
 
     def test_escalated_rows_equal_scalar_calls(self, monkeypatch):
-        # Four sources on four sensors at sigma2 = 10^0.9 cancel past the
-        # double-precision limit, so all 6 rows go to multiprecision; with
-        # two-trial chunks they sit on both sides of a chunk boundary.
+        # Four sources on four sensors at sigma2 = 10^1.2 cancel past the
+        # double-precision limit (12.4 to 13.4 digits), so all 6 rows go to
+        # multiprecision; with two-trial chunks they sit on both sides of a
+        # chunk boundary.
         monkeypatch.setattr(mc, "_ROC_CHUNK", 2)
         s = Scenario(4, 8, 1, 0.0, 3, 11)
-        prior = PriorConfig(ExactCount(4), ExactNoise(10 ** 0.9))
+        prior = PriorConfig(ExactCount(4), ExactNoise(10 ** 1.2))
         n_extended = 0
         for code, hyp in enumerate(("H0", "H1")):
             stats, n_failed = mc._stats_for_hypothesis(s, code, BayesDetector(prior), 1)
