@@ -335,10 +335,11 @@ def _mimo_prefactor_rows(gvals: np.ndarray, L: int, m: int, points: np.ndarray) 
     return np.array(const)[:, None] - gvals.sum(axis=1) / points[:, None]
 
 
-def _mimo_batch(gvals: np.ndarray, L: int, m: int, points: np.ndarray):
+def _mimo_batch(gvals: np.ndarray, L: int, m: int, points: np.ndarray, jlog: np.ndarray):
     """ln P(Y | m sources, sigma2) over a (B, N) stack of guarded descending
     spectra, for every sigma2 in points: one (sign, log_mag, peak, digits)
-    row tuple per point.
+    row tuple per point.  jlog is _component_rows' kernel table for this m:
+    jlog[j-1, p, b, i] = ln J_{N-L-2+j}(m points[p], m gvals[b, i]).
 
     ln P is the prefactor plus ln det D (see above).  Each entry of D at each
     grid point is one row of _signed_lse_rows: the terms
@@ -349,13 +350,9 @@ def _mimo_batch(gvals: np.ndarray, L: int, m: int, points: np.ndarray):
     and then by row, and goes to one np.linalg.slogdet; digits is log10 of
     sum_kj |cofactor_kj| max(|D_kj|, e^{peak_kj}) / |det D|, the cofactors
     over det D being the entries of the inverse, and peak is
-    ln P + digits ln 10.  Each J order is one kernel call over the whole grid.
+    ln P + digits ln 10.
     """
     b, n = gvals.shape
-    points = np.asarray(points, dtype=float)
-    my = (m * gvals).ravel()
-    jlog = np.stack([_log_j_batch(n - L - 2 + j, m * points, my) for j in range(1, m + 1)]
-                    ).reshape(m, len(points), b, n)
     # Arrays put D's indices (k, j) first, so D's row and column reductions
     # combine whole slabs.  Row k of D takes the points s = m-1-k .. N-1; the
     # points before s are zero terms, with gap sum +inf and sign 0.
@@ -408,9 +405,9 @@ def _mimo_batch(gvals: np.ndarray, L: int, m: int, points: np.ndarray):
 
 
 def _simo_batch(gvals: np.ndarray, L: int, points: np.ndarray):
-    """_mimo_batch at m=1.  Nothing in the package calls it; it stays only
+    """_component_rows at m=1.  Nothing in the package calls it; it stays only
     because perfbench/spans.py wraps it by name (ROADMAP item 2 removes it)."""
-    return _mimo_batch(gvals, L, 1, points)
+    return _component_rows(gvals, L, [1], points)
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +456,21 @@ def _component_rows(gvals: np.ndarray, L: int, ms, points):
 
     gvals is a (B, N) stack of guarded descending spectra and points an
     array of sigma2.  Each entry is one (sign, log_mag, peak, digits) row
-    tuple of _mimo_batch.
+    tuple of _mimo_batch.  Every J value the components need comes from one
+    kernel call: group (m, j) is the order N-L-2+j at the lower limits
+    m * points with y = m * gvals, and each _mimo_batch gets its m groups
+    as an (m, P, B, N) view.
     """
-    return [row for m in ms for row in _mimo_batch(gvals, L, m, points)]
+    b, n = gvals.shape
+    points = np.asarray(points, dtype=float)
+    m_g, j_g = np.array([(m, j) for m in ms for j in range(1, m + 1)], dtype=float).T
+    table = _log_j_batch(n - L - 2 + j_g, np.outer(points, m_g), np.outer(m_g, gvals))
+    table = table.reshape(len(points), m_g.size, b, n).transpose(1, 0, 2, 3)
+    rows, g = [], 0
+    for m in ms:
+        rows += _mimo_batch(gvals, L, m, points, table[g:g + m])
+        g += m
+    return rows
 
 
 def _accepted(sign, log_mag, digits):

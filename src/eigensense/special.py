@@ -13,8 +13,9 @@ therefore carries values as (sign, log|value|) pairs:
   over [x, inf) by fixed 32-node Gauss-Legendre panels on each side of the
   integrand's peak in u = ln t, returning the log of the (always positive)
   value.  It is :func:`_log_j_batch` at one x and one y; the kernel takes
-  many y at once and a grid of lower limits x, sharing each y's peak and the
-  side above it across the grid points, and is what the detectors drive.
+  groups of y, each with its own order k and grid of lower limits x, shares
+  each y's peak and the side above it across its grid points, and is what
+  the detectors drive, once per statistic.
 * :func:`j_via_bessel` evaluates the same quantity through the independent
   Bessel-K identity and exists purely as an oracle for j_integral.
 * :func:`kappa` and :func:`lemma1_determinant` expose the derivative
@@ -180,7 +181,9 @@ def signed_log_sum(terms) -> tuple[SignedLog, CancellationReport]:
 # formed from g itself it would carry eps*|g| of absolute rounding, 4e-6 nats
 # at y = 1e20, where |g| at the peak is 2e10.  Only the side below the peak
 # depends on x while ln x lies below the peak, so a grid of lower limits
-# shares the peak, the upper cut and the side above it (_log_j_batch).
+# shares the peak, the upper cut and the side above it (_log_j_rows).  Rows
+# of different k are independent too, so one call takes every (order, grid)
+# group a statistic needs (_log_j_batch).
 #
 # Why 32 nodes suffice: e^{g(u_pk + v) - gmax} is entire in v, and the cuts
 # bound each side to the stretch where it falls by 60 nats, so Gauss-Legendre
@@ -209,6 +212,9 @@ _GL_W = 0.5 * _GL_WEIGHTS
 _GL_PANEL = 8.0
 # Nodes evaluated at once (see _side_sums).
 _GL_BLOCK_NODES = 1 << 15
+# (group, y) rows evaluated at once (see _log_j_batch): one J order of a
+# 2048-trial chunk at N = 4.
+_J_BLOCK_ROWS = 1 << 13
 
 # sinh v - v = v^3 * sum_j w^j / (2j+3)! with w = v^2, highest power first.
 # At |v| < 1 the first dropped term, v^19/19!, is below 5e-17 of the sum.
@@ -258,7 +264,13 @@ def _shifted_g(v, c, t_pk, y_hat):
     the peak expm1 may overflow to inf, so callers ignore overflow.
     """
     w = v * v
-    odd = v * w * np.polyval(_SINH_ODD, w)
+    # Horner in place: the operations of np.polyval(_SINH_ODD, w), in its
+    # order, without a temporary per coefficient.
+    p = w * _SINH_ODD[0] + _SINH_ODD[1]
+    for coef in _SINH_ODD[2:]:
+        p *= w
+        p += coef
+    odd = v * w * p
     even = 2.0 * np.sinh(0.5 * v) ** 2
     small = np.abs(v) < 1.0
     phi_pos = np.where(small, even + odd, np.expm1(v) - v)
@@ -294,45 +306,82 @@ def _side_sums(side, c, t_pk, y_hat):
     return out
 
 
-@np.errstate(over="ignore", divide="ignore")
-def _log_j_batch(k: float, x, y: np.ndarray) -> np.ndarray:
-    """log J_k(x_p, y_i) for every lower limit x_p and every y_i >= 0.
+def _log_j_batch(k, x, y) -> np.ndarray:
+    """log J_k(x, y) for groups of rows, each with its own order and grid.
 
-    x is a float or a 1-D array of lower limits; the result has shape
-    x.shape + y.shape, and a float x is the one-point grid.  Where ln x_p
-    lies below row i's peak, the peak, the cuts above it and the side above
-    it do not depend on x_p, so they are computed once per row and shared by
-    every such grid point, which adds only its own side below the peak.
-    Every integral meets the same nodes of its own window, 32 per panel, and
-    is summed on its own, so each value is the same bits whatever the grid
-    and however the y are batched.
+    Grouped form: k of shape (G,), x of shape (P, G) and y of shape (G, n);
+    group g evaluates order k[g] for every y[g, i] >= 0 at every lower limit
+    x[p, g], and the result has shape (P, G, n).  One-group form: k a float,
+    x a float or a 1-D grid and y of shape (n,); the result has shape
+    x.shape + y.shape, and a float x is the one-point grid.
+
+    The groups are flattened into rows (g, i), which go through _log_j_rows
+    in blocks of at most _J_BLOCK_ROWS, so the temporaries stay bounded.
+    Every integral is computed and summed on its own, so each value is the
+    same bits whatever the grid, the groups and the blocks it shares a call
+    with.
     """
+    ks = np.asarray(k, dtype=float)
     xs = np.asarray(x, dtype=float)
-    if xs.ndim > 1 or xs.size == 0:
-        raise DomainError("x must be a float or a non-empty one-dimensional array")
-    xs = xs.ravel()
-    for xp in xs:
-        _validate_j_args(k, float(xp))
     y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise DomainError("y must be one-dimensional")
+    if ks.ndim == 0:
+        if xs.ndim > 1 or xs.size == 0:
+            raise DomainError("x must be a float or a non-empty one-dimensional array")
+        if y.ndim != 1:
+            raise DomainError("y must be one-dimensional")
+        shape = xs.shape + y.shape
+        ks, xs, y = ks[None], xs.reshape(-1, 1), y[None, :]
+    elif not (ks.ndim == 1 and xs.ndim == 2 and y.ndim == 2 and xs.shape[0] > 0
+              and xs.shape[1] == ks.size == y.shape[0]):
+        raise DomainError("grouped J arguments must be k (G,), x (P, G) and y (G, n)")
+    else:
+        shape = xs.shape + y.shape[1:]
+    for kg, col in zip(ks.tolist(), xs.T.tolist()):
+        for xp in col:
+            _validate_j_args(kg, xp)
     if y.size == 0:
-        return np.empty(np.shape(x) + (0,))
+        return np.empty(shape)
     if not np.all(np.isfinite(y)) or np.any(y < 0.0):
         raise DomainError("j_integral requires finite y >= 0")
 
-    kp1 = k + 1.0
+    n = y.shape[1]
+    group = np.repeat(np.arange(ks.size), n)
+    kp1 = (ks + 1.0)[group]
+    yr = y.ravel()
     # ln x by math.log, not np.log, which may round the last bit differently
     # and so move every J value.
-    a0 = np.array([math.log(xp) for xp in xs])
+    a0 = np.array([math.log(v) for v in xs.ravel().tolist()]).reshape(xs.shape)
+    out = np.empty((xs.shape[0], yr.size))
+    for lo in range(0, yr.size, _J_BLOCK_ROWS):
+        blk = slice(lo, lo + _J_BLOCK_ROWS)
+        out[:, blk], ok = _log_j_rows(kp1[blk], a0[:, group[blk]], yr[blk])
+        if not ok.all():
+            p, r = np.unravel_index(np.argmin(ok), ok.shape)
+            g, i = divmod(lo + r, n)
+            raise NumericError(f"J quadrature gave a non-positive or non-finite value; "
+                               f"first offender k={ks[g]}, x={xs[p, g]}, y={y[g, i]!r}")
+    return out.reshape(shape)
 
+
+@np.errstate(over="ignore", divide="ignore")
+def _log_j_rows(kp1, a0, y):
+    """log J for rows of k + 1 = kp1[i] and y[i], at the lower limits
+    e^a0[p, i]: a (P, R) table, and the (P, R) mask of the values that are
+    finite with a positive integral.
+
+    Where ln x_p lies below row i's peak, the peak, the cuts above it and the
+    side above it do not depend on x_p, so they are computed once per row and
+    shared by every such grid point, which adds only its own side below the
+    peak.  Every integral meets the same nodes of its own window, 32 per
+    panel.
+    """
     tstar = _peak_t(kp1, y)
     u_star = np.where(tstar > 0.0, np.log(np.where(tstar > 0.0, tstar, 1.0)), -np.inf)
 
     # Peak tasks: one per row whose peak lies above ln x_p for some p, shared
     # by those (two-sided) pairs; then one per remaining pair, whose peak sits
     # on ln x_p and whose side below it is empty.  pk maps each pair to its task.
-    two = a0[:, None] < u_star
+    two = a0 < u_star
     rows = np.flatnonzero(two.any(axis=0))
     one_p, one_i = np.nonzero(~two)
     two_p, two_i = np.nonzero(two)
@@ -340,9 +389,11 @@ def _log_j_batch(k: float, x, y: np.ndarray) -> np.ndarray:
     pk = np.empty(two.shape, dtype=np.intp)
     pk[two] = s
     pk[~two] = rows.size + np.arange(one_p.size)
-    u_pk = np.concatenate([u_star[rows], a0[one_p]])
-    y_pk = np.concatenate([y[rows], y[one_i]])
-    gmax = _g_log_integrand(u_pk, kp1, y_pk)
+    task_row = np.concatenate([rows, one_i])
+    u_pk = np.concatenate([u_star[rows], a0[one_p, one_i]])
+    kp1_pk = kp1[task_row]
+    y_pk = y[task_row]
+    gmax = _g_log_integrand(u_pk, kp1_pk, y_pk)
     if not np.all(np.isfinite(gmax)):
         raise NumericError("J integrand maximum is not finite; arguments out of range")
     target = gmax - _TAIL_NATS
@@ -353,7 +404,7 @@ def _log_j_batch(k: float, x, y: np.ndarray) -> np.ndarray:
     step = np.ones(u_pk.size)
     hi = u_pk + step
     for _ in range(130):
-        need = _g_log_integrand(hi, kp1, y_pk) > target
+        need = _g_log_integrand(hi, kp1_pk, y_pk) > target
         if not need.any():
             break
         np.multiply(step, 2.0, out=step, where=need)
@@ -364,19 +415,18 @@ def _log_j_batch(k: float, x, y: np.ndarray) -> np.ndarray:
     # Lower cutoff of a two-sided pair: only needed when the left tail falls
     # below target before reaching ln x.  One bisection moves both kinds of
     # cutoff, each element on its own.
-    a_cut = a0[two_p]
-    y_lo = y[two_i]
-    left = np.flatnonzero(_g_log_integrand(a_cut, kp1, y_lo) < target[s])
+    a_cut = a0[two_p, two_i]
+    left = np.flatnonzero(_g_log_integrand(a_cut, kp1_pk[s], y_pk[s]) < target[s])
     sl = s[left]
     cut = _bisect_cut(np.concatenate([hi, a_cut[left]]), np.concatenate([u_pk, u_pk[sl]]),
-                      kp1, np.concatenate([y_pk, y_lo[left]]),
+                      np.concatenate([kp1_pk, kp1_pk[sl]]), np.concatenate([y_pk, y_pk[sl]]),
                       np.concatenate([target, target[sl]]))
     a_cut[left] = cut[u_pk.size:]
 
     # The sides above every peak, then the sides below the two-sided pairs'.
     t_pk = np.exp(u_pk)
     y_hat = y_pk / t_pk
-    c = kp1 - t_pk + y_hat
+    c = kp1_pk - t_pk + y_hat
     owner = np.concatenate([np.arange(u_pk.size), s])
     sums = _side_sums(np.concatenate([cut[:u_pk.size] - u_pk, a_cut - u_pk[s]]),
                       c[owner], t_pk[owner], y_hat[owner])
@@ -385,11 +435,8 @@ def _log_j_batch(k: float, x, y: np.ndarray) -> np.ndarray:
     lower[two] = sums[u_pk.size:]
     acc = lower + sums[pk]
     ok = np.isfinite(acc) & (acc > 0.0)
-    if not ok.all():
-        p, i = np.unravel_index(np.argmin(ok), ok.shape)
-        raise NumericError(f"J quadrature gave a non-positive or non-finite value; "
-                           f"first offender k={k}, x={xs[p]}, y={y[i]!r}")
-    return (gmax[pk] + np.log(acc)).reshape(np.shape(x) + y.shape)
+    with np.errstate(invalid="ignore"):  # a negative acc is reported through ok
+        return gmax[pk] + np.log(acc), ok
 
 
 def _log_j_segment_mp(k, y, u_lo, u_hi, dps: int):

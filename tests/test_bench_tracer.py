@@ -66,11 +66,11 @@ def test_instrument_resolves_every_name_and_uninstall_restores_it():
     # wraps, not through a module attribute it cannot see.
     assert metrics["assembly.terms"] > 0
     assert metrics["j_kernel.cutoff_evals_per_integral"] > 0
-    # The grid call makes one kernel call per J order (m = 1, and m = 2 with
-    # two), each returning a (grid point, y) table of 11 points by 3
-    # eigenvalues, and every integral in it is counted.
+    # The grid call makes one kernel call for all three J orders (one at
+    # m = 1, two at m = 2), returning a (grid point, order, y) table of 11
+    # points by 3 orders by 3 eigenvalues, and every integral in it is counted.
     grid_j = [s for s in tracer.spans if s.name == "_log_j_batch" and s.request == "grid"]
-    assert (len(grid_j), sum(s.counts["integrals"] for s in grid_j)) == (3, 3 * 11 * 3)
+    assert (len(grid_j), sum(s.counts["integrals"] for s in grid_j)) == (1, 3 * 11 * 3)
     # Its assembly is one _mimo_batch per source count, and at one spectrum
     # one signed row sum per source count over all 11 grid points, counting
     # the sign array: one row of N = 3 terms per entry of the m x m matrix D

@@ -33,6 +33,7 @@ from eigensense import (
     source_count_posteriors,
     synthesize_observation,
 )
+from eigensense import detectors
 from eigensense.detectors import (
     _batch_energy_stats,
     _batch_fast_stats,
@@ -553,3 +554,46 @@ class TestScalarIsBatchRow:
         got = [energy_statistic(EigenSpectrum(v, L), 0.5).log_ratio.log_magnitude
                for v in vals]
         assert np.array_equal(got, stats)
+
+
+class TestOneKernelCallPerStatistic:
+    """Every J value a statistic needs comes from one _log_j_batch call,
+    whatever its source counts, J orders and noise grid."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        kernel = detectors._log_j_batch
+
+        def counting(*args):
+            seen.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(detectors, "_log_j_batch", counting)
+        return seen
+
+    @pytest.mark.parametrize("count, noise", [
+        (ExactCount(1), ExactNoise(1.0)),
+        (ExactCount(2), ExactNoise(1.0)),
+        (ExactCount(1), NoiseGrid(-5.0, 5.0, 11, "db")),
+        (BoundedCount(4), NoiseGrid(-5.0, 5.0, 11, "db")),
+        (ExactCount(4), ExactNoise(10.0 ** 0.9)),
+    ], ids=["known1", "known2", "grid1", "bounded4", "escalate4"])
+    def test_detection_log_ratio(self, calls, count, noise):
+        x = gram_eigenvalues(synthesize_observation(Scenario(4, 8, 1, 0.0, 4, 3), "H1", 1))
+        detection_log_ratio(x, PriorConfig(count, noise))
+        assert len(calls) == 1
+
+    def test_source_count_posteriors(self, calls):
+        x = gram_eigenvalues(synthesize_observation(Scenario(6, 9, 1, 0.0, 4, 5), "H1", 0))
+        source_count_posteriors(x, 1.0, 3)
+        assert len(calls) == 1
+
+    def test_roc_chunk(self, calls):
+        # 2048 rows of 4 x 8 under a two-source grid prior: three J orders of
+        # 2048 * 4 rows each at 11 grid points.
+        vals = TestScalarIsBatchRow._spectra(4, 8, 2048, seed=3)
+        prior = PriorConfig(BoundedCount(2), NoiseGrid(-5.0, 5.0, 11, "db"))
+        _batch_fast_stats(vals, 8, prior)
+        assert len(calls) == 1
+        assert calls[0][1].shape == (11, 3)

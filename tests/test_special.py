@@ -20,6 +20,7 @@ from eigensense import (
 )
 from eigensense.special import (
     _GL_PANEL,
+    _J_BLOCK_ROWS,
     _TAIL_NATS,
     _g_log_integrand,
     _log_j_batch,
@@ -256,6 +257,48 @@ class TestJIntegral:
             wide = two & ~cut & (u_star - ln_x > _GL_PANEL)
             seen |= [two.any(), (~two).any(), cut.any(), (two & ~cut).any(), wide.any()]
         assert seen.all(), seen
+
+    def test_grouped_call_matches_each_group_alone(self):
+        # One group per grid case, each with its own k and grid.  np.resize
+        # repeats a case's grid and rows cyclically up to the common P and n,
+        # so the groups hold every pair of _GRID_CASES and so reach every
+        # kind of pair (see the test above), side by side in one block.
+        p = max(xs.size for _, xs, _ in _GRID_CASES.values())
+        n = max(ys.size for _, _, ys in _GRID_CASES.values())
+        ks = np.array([k for k, _, _ in _GRID_CASES.values()], dtype=float)
+        xs = np.stack([np.resize(xs, p) for _, xs, _ in _GRID_CASES.values()], axis=1)
+        ys = np.stack([np.resize(ys, n) for _, _, ys in _GRID_CASES.values()])
+        table = _log_j_batch(ks, xs, ys)
+        assert table.shape == (p, ks.size, n)
+        for g, k in enumerate(ks):
+            assert table[:, g].tobytes() == _log_j_batch(k, xs[:, g], ys[g]).tobytes(), k
+
+    def test_rows_past_one_block_match_the_blocks_called_alone(self):
+        # Two groups of n rows: the first block of _J_BLOCK_ROWS rows ends
+        # inside the second group, at row `split` of it.
+        n = 5000
+        split = _J_BLOCK_ROWS - n
+        assert 0 < split < n
+        ys = np.random.default_rng(9).uniform(0.0, 50.0, (2, n))
+        ks = np.array([-5.0, -3.0])
+        xs = np.array([[0.5, 2.0], [3.0, 0.1]])
+        table = _log_j_batch(ks, xs, ys)
+        for g, lo, hi in [(0, 0, n), (1, 0, split), (1, split, n)]:
+            alone = _log_j_batch(ks[g], xs[:, g], ys[g, lo:hi])
+            assert table[:, g, lo:hi].tobytes() == alone.tobytes(), (g, lo)
+
+    def test_group_order_out_of_bound_is_named(self):
+        with pytest.raises(DomainError, match=r"k=-1001\.5 outside"):
+            _log_j_batch(np.array([-3.0, -1001.5, 2.0]), np.ones((2, 3)), np.ones((3, 4)))
+
+    def test_failing_pair_is_named_by_its_own_arguments(self):
+        # Above x = 1e308 the integrand falls 60 nats within a step the cut
+        # bisection cannot resolve, so that integral comes out 0.  The first
+        # failing pair in (grid point, group, row) order is (1, 1, 0).
+        xs = np.array([[1.0, 2.0, 3.0], [1.0, 1e308, 3.0]])
+        ys = np.array([[1.0, 2.0], [0.25, 0.5], [3.0, 4.0]])
+        with pytest.raises(NumericError, match=r"offender k=-3\.0, x=1e\+308, y=np\.float64\(0\.25\)"):
+            _log_j_batch(np.array([0.0, -3.0, 2.0]), xs, ys)
 
     @pytest.mark.parametrize("ks, xs, ys", [
         # 480 points, y up to 1e20 and x up to 1e6.
