@@ -12,9 +12,11 @@ Implements, all as functions of the eigenvalues x_1 >= ... >= x_N of Y Y^H:
 * the source-count posterior over {0, 1, ..., m_max} sources.
 
 Each statistic has one evaluation path: the batch kernels (guard, signal
-components per (m, sigma2), logsumexp combine, energy) run on (B, N) stacks,
-and the scalar API runs them at B=1, bit for bit.  One source is the
-m-source determinant at m=1.
+components, combine, energy) run on (B, N) stacks, and the scalar API runs
+them at B=1, bit for bit.  The signal components of every (m, sigma2) pair
+are one (4, C, B) array of (sign, log_mag, peak, digits), and ln C mixes its
+log_mag block by one np.logaddexp.reduce.  One source is the m-source
+determinant at m=1.
 
 The divided differences cancel catastrophically when eigenvalues cluster, and
 the determinant can amplify what they lost, so every component reports the
@@ -30,7 +32,6 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DegeneracyError, DomainError, NumericError
 from .special import (
@@ -337,9 +338,9 @@ def _mimo_prefactor_rows(gvals: np.ndarray, L: int, m: int, points: np.ndarray) 
 
 def _mimo_batch(gvals: np.ndarray, L: int, m: int, points: np.ndarray, jlog: np.ndarray):
     """ln P(Y | m sources, sigma2) over a (B, N) stack of guarded descending
-    spectra, for every sigma2 in points: one (sign, log_mag, peak, digits)
-    row tuple per point.  jlog is _component_rows' kernel table for this m:
-    jlog[j-1, p, b, i] = ln J_{N-L-2+j}(m points[p], m gvals[b, i]).
+    spectra, for every sigma2 in points: a (4, P, B) array stacking sign,
+    log_mag, peak and digits.  jlog is _component_rows' kernel table for
+    this m: jlog[j-1, p, b, i] = ln J_{N-L-2+j}(m points[p], m gvals[b, i]).
 
     ln P is the prefactor plus ln det D (see above).  Each entry of D at each
     grid point is one row of _signed_lse_rows: the terms
@@ -381,9 +382,11 @@ def _mimo_batch(gvals: np.ndarray, L: int, m: int, points: np.ndarray, jlog: np.
         rows[...] = signs
         entries[:, :, :, blk] = np.reshape(
             _signed_lse_rows(rows.reshape(-1, n), logmags.reshape(-1, n)), (4, m, m, -1, b))
-    sign, ell, peak, digits = entries
     if m == 1:  # D is its one entry, which needs no determinant
-        return list(zip(sign[0, 0], ell[0, 0] + pref, peak[0, 0] + pref, digits[0, 0]))
+        out = entries[:, 0, 0]
+        out[1:3] += pref
+        return out
+    sign, ell, _, digits = entries
     col = ell.max(axis=0)
     col = np.where(np.isfinite(col), col, 0.0)
     by_col = ell - col
@@ -401,12 +404,13 @@ def _mimo_batch(gvals: np.ndarray, L: int, m: int, points: np.ndarray, jlog: np.
     cond = np.where(np.isnan(cond) | (det_sign == 0), np.inf, cond)
     log_mag = log_det + col.sum(axis=0) + row.sum(axis=(0, 1)) + pref
     peak = np.where(det_sign != 0, log_mag + cond * _LN10, -np.inf)
-    return list(zip(det_sign, log_mag, peak, cond))
+    return np.stack([det_sign, log_mag, peak, cond])
 
 
 def _simo_batch(gvals: np.ndarray, L: int, points: np.ndarray):
-    """_component_rows at m=1.  Nothing in the package calls it; it stays only
-    because perfbench/spans.py wraps it by name (ROADMAP item 2 removes it)."""
+    """_component_rows at m=1, a (4, P, B) array.  Nothing in the package
+    calls it; it stays only because perfbench/spans.py wraps it by name
+    (ROADMAP item 2 removes it)."""
     return _component_rows(gvals, L, [1], points)
 
 
@@ -455,22 +459,21 @@ def _component_rows(gvals: np.ndarray, L: int, ms, points):
     """ln P(Y | m sources, sigma2) for every (m, sigma2) pair, m-major.
 
     gvals is a (B, N) stack of guarded descending spectra and points an
-    array of sigma2.  Each entry is one (sign, log_mag, peak, digits) row
-    tuple of _mimo_batch.  Every J value the components need comes from one
-    kernel call: group (m, j) is the order N-L-2+j at the lower limits
-    m * points with y = m * gvals, and each _mimo_batch gets its m groups
-    as an (m, P, B, N) view.
+    array of sigma2.  Returns _mimo_batch's (4, P, B) arrays joined along
+    the component axis, (4, C, B): column i is ms[i // P] at points[i % P].
+    Every J value the components need comes from one kernel call: group
+    (m, j) is the order N-L-2+j at the lower limits m * points with
+    y = m * gvals, and each _mimo_batch gets its m groups as an (m, P, B, N)
+    view.
     """
     b, n = gvals.shape
     points = np.asarray(points, dtype=float)
     m_g, j_g = np.array([(m, j) for m in ms for j in range(1, m + 1)], dtype=float).T
     table = _log_j_batch(n - L - 2 + j_g, np.outer(points, m_g), np.outer(m_g, gvals))
     table = table.reshape(len(points), m_g.size, b, n).transpose(1, 0, 2, 3)
-    rows, g = [], 0
-    for m in ms:
-        rows += _mimo_batch(gvals, L, m, points, table[g:g + m])
-        g += m
-    return rows
+    starts = np.cumsum([0] + list(ms))
+    return np.concatenate([_mimo_batch(gvals, L, m, points, table[g:g + m])
+                           for m, g in zip(ms, starts)], axis=1)
 
 
 def _accepted(sign, log_mag, digits):
@@ -479,24 +482,20 @@ def _accepted(sign, log_mag, digits):
     return (sign == 1) & (digits <= CANCEL_DIGITS_LIMIT) & np.isfinite(log_mag)
 
 
-def _log_mix(cols) -> np.ndarray:
-    """Row-wise ln sum exp over a list of (B,) log columns."""
-    return cols[0] if len(cols) == 1 else logsumexp(np.stack(cols, axis=1), axis=1)
-
-
-def _log_ratio_rows(comp_logs, gvals: np.ndarray, L: int, ms,
+def _log_ratio_rows(log_mag: np.ndarray, gvals: np.ndarray, L: int, ms,
                     points: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """ln C per row from the component log likelihoods of _component_rows.
+    """ln C per row from the (C, B) log_mag block of _component_rows.
 
     The source count averages over ms (a uniform prior, over one count when
     it is exact); gridded noise mixes numerator and denominator by weight.
+    A single column passes through the reduction unchanged.
     """
     n = gvals.shape[1]
-    log_w = [math.log(w) for w in weights]
-    num = _log_mix([c + log_w[i % len(log_w)] for i, c in enumerate(comp_logs)])
+    log_w = np.array([math.log(w) for w in weights])
+    num = np.logaddexp.reduce(log_mag + np.tile(log_w, len(ms))[:, None], axis=0)
     gsum = gvals.sum(axis=1)
-    den = _log_mix([lw + _noise_ll_from_values(gsum, n, L, float(p))
-                    for p, lw in zip(points, log_w)])
+    den = np.logaddexp.reduce([lw + _noise_ll_from_values(gsum, n, L, p)
+                               for p, lw in zip(points.tolist(), log_w.tolist())], axis=0)
     return num - math.log(len(ms)) - den
 
 
@@ -524,30 +523,23 @@ def _signal_from_guarded(gvals: np.ndarray, L: int, m: int, sigma2: float,
 
 
 def _components_at_one(gvals: np.ndarray, L: int, ms, points, precision: str):
-    """_component_rows for one guarded spectrum: (rows, extended_used).
+    """_component_rows for one guarded spectrum: ((4, C) array, extended_used).
 
-    Each row is a component's (sign, log_mag, peak, digits) as floats.
-    Components that fail _accepted, and every component under
-    precision="extended", take _signal_from_guarded's row instead.
+    Columns that fail _accepted take _signal_from_guarded's row instead.
+    Under precision="extended" every column starts as inf, so all of them
+    fail and the digits hint gives the default working precision.
     """
     if precision not in ("standard", "extended"):
         raise DomainError(f"unknown precision mode {precision!r}")
-    batch = None
     if precision == "standard":
-        batch = _component_rows(gvals[None, :], L, ms, points)
-    rows = []
-    extended = False
-    for i, (m, p) in enumerate((m, p) for m in ms for p in points):
-        digits = math.inf
-        if batch is not None:
-            row = tuple(float(a[0]) for a in batch[i])
-            sign, log_mag, _, digits = row
-            if _accepted(sign, log_mag, digits):
-                rows.append(row)
-                continue
-        rows.append(_signal_from_guarded(gvals, L, m, float(p), digits))
-        extended = True
-    return rows, extended
+        comps = _component_rows(gvals[None, :], L, ms, points)[:, :, 0]
+    else:
+        comps = np.full((4, len(ms) * len(points)), np.inf)
+    redo = np.flatnonzero(~_accepted(comps[0], comps[1], comps[3]))
+    for i in redo.tolist():
+        m, p = ms[i // len(points)], float(points[i % len(points)])
+        comps[:, i] = _signal_from_guarded(gvals, L, m, p, float(comps[3, i]))
+    return comps, redo.size > 0
 
 
 def _prepare_spectrum(x: EigenSpectrum, sigma2: float) -> tuple[np.ndarray, bool]:
@@ -571,8 +563,8 @@ def log_mimo_signal_likelihood(x: EigenSpectrum, m: int, sigma2: float, *,
     if m > x.n_sensors:
         raise DomainError(f"m={m} sources with N={x.n_sensors} sensors is unsupported (m <= N)")
     gvals, _ = _prepare_spectrum(x, sigma2)
-    rows, _ = _components_at_one(gvals, x.n_snapshots, [m], [float(sigma2)], precision)
-    return SignedLog(1, rows[0][1])
+    comps, _ = _components_at_one(gvals, x.n_snapshots, [m], [float(sigma2)], precision)
+    return SignedLog(1, float(comps[1, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -601,10 +593,9 @@ def _marginal_statistic(gvals: np.ndarray, L: int, ms, points: np.ndarray,
 
     Returns (SignedLog, worst CancellationReport, extended_used).
     """
-    rows, extended = _components_at_one(gvals, L, ms, points, precision)
-    stat = _log_ratio_rows([np.array([r[1]]) for r in rows],
-                           gvals[None, :], L, ms, points, weights)
-    _, log_mag, peak, digits = max(rows, key=lambda r: r[3])
+    comps, extended = _components_at_one(gvals, L, ms, points, precision)
+    stat = _log_ratio_rows(comps[1][:, None], gvals[None, :], L, ms, points, weights)
+    _, log_mag, peak, digits = comps[:, np.argmax(comps[3])].tolist()
     return (SignedLog(1, float(stat[0])), CancellationReport(peak, log_mag, digits),
             extended)
 
@@ -656,23 +647,22 @@ def source_count_posteriors(x: EigenSpectrum, sigma2: float, m_max: int, *,
     L = x.n_snapshots
 
     counts = list(range(1, m_max + 1))
-    rows, _ = _components_at_one(gvals, L, counts, [s2], precision)
-    log_ev = [r[1] for r in rows]
+    comps, _ = _components_at_one(gvals, L, counts, [s2], precision)
+    log_ev = comps[1]
     if include_noise_hypothesis:
         counts.insert(0, 0)
-        log_ev.insert(0, _noise_ll_from_values(float(np.sum(gvals)), x.n_sensors, L, s2))
+        noise = _noise_ll_from_values(float(np.sum(gvals)), x.n_sensors, L, s2)
+        log_ev = np.concatenate(([noise], log_ev))
 
-    log_ev = np.array(log_ev)
     shifted = log_ev - log_ev.max()
     probs = np.exp(shifted)
     probs /= probs.sum()
-    ratios = []
-    for i in range(len(log_ev)):
-        others = np.delete(log_ev, i)
-        with np.errstate(over="ignore"):
-            ratios.append(float(np.exp(log_ev[i] - logsumexp(others))))
-    return CountPosterior(tuple(counts), tuple(float(p) for p in probs),
-                          tuple(ratios), s2, m_max, include_noise_hypothesis)
+    # Row i of others is log_ev without hypothesis i; -inf drops out of the sum.
+    others = np.where(np.eye(log_ev.size, dtype=bool), -np.inf, log_ev)
+    with np.errstate(over="ignore"):
+        ratios = np.exp(log_ev - np.logaddexp.reduce(others, axis=1))
+    return CountPosterior(tuple(counts), tuple(probs.tolist()),
+                          tuple(ratios.tolist()), s2, m_max, include_noise_hypothesis)
 
 
 # ---------------------------------------------------------------------------
@@ -694,15 +684,13 @@ def _batch_fast_stats(vals: np.ndarray, L: int, prior: PriorConfig):
     Returns (stats, bad, n_perturbed) where bad flags rows whose evaluation
     cancelled too hard (or signed wrong) and must be redone scalar-side.
     """
-    b, n = vals.shape
+    n = vals.shape[1]
     _check_bayes_shape(n, L)
     ms, points, weights = _expand_prior(prior, n)
     gvals, pert_mask = _guard_values_batch(vals)
-    rows = _component_rows(gvals, L, ms, points)
-    bad = np.zeros(b, dtype=bool)
-    for sign, log_mag, _, digits in rows:
-        bad |= ~_accepted(sign, log_mag, digits)
-    stats = _log_ratio_rows([r[1] for r in rows], gvals, L, ms, points, weights)
+    sign, log_mag, _, digits = _component_rows(gvals, L, ms, points)
+    bad = ~_accepted(sign, log_mag, digits).all(axis=0)
+    stats = _log_ratio_rows(log_mag, gvals, L, ms, points, weights)
     return stats, bad, int(pert_mask.sum())
 
 

@@ -66,10 +66,13 @@ def _parse_cell(cell: str, where: str) -> complex:
 def read_observation(path):
     """Parse either observation format; returns SampleMatrix or EigenSpectrum."""
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            raw_lines = fh.read().splitlines()
+        with open(path, "rb") as fh:
+            raw_lines = fh.read().decode("ascii").splitlines()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:  # the whole file is decoded, so start is its offset
+        raise InputError(f"{path}: non-ASCII byte 0x{exc.object[exc.start]:02x} "
+                         f"at byte offset {exc.start}") from None
     lines = [ln.strip() for ln in raw_lines if ln.strip()]
     if not lines:
         raise InputError(f"{path}: empty observation file")

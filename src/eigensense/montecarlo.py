@@ -410,11 +410,8 @@ def _stats_for_hypothesis(s: Scenario, hyp_code: int, detector,
         stats, bad, _ = _batch_fast_stats(vals, s.n_snapshots, detector.prior)
         return stats, bad, vals
 
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(eval_chunk, range(n_chunks)))
-    else:
-        results = [eval_chunk(c) for c in range(n_chunks)]
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        results = list(pool.map(eval_chunk, range(n_chunks)))
 
     stats, bad, vals = (np.concatenate(parts) for parts in zip(*results))
     if not bad.any():
@@ -462,6 +459,8 @@ def run_roc(s: Scenario, detector, thresholds="auto", n_threads: int = 1) -> Roc
         thr = np.asarray(thresholds, dtype=float)
         if thr.ndim != 1 or thr.size == 0:
             raise InputError("explicit thresholds must be a non-empty 1-D array")
+        if np.isnan(thr).any():
+            raise InputError("explicit thresholds must not be NaN")
         thr = np.sort(thr)[::-1]
 
     far = (n0 - np.searchsorted(valid0, thr, side="right")) / n0

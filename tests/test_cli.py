@@ -359,6 +359,13 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_ascii_input_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbfeigs,6\n3.0\n1.0\n")
+        code = main(["detect", "--input", str(path), "--sigma2", "1.0"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("detector", ["bayes", "energy"])
     @pytest.mark.parametrize("snr_db", ["-4000", "4000"])
     def test_unrepresentable_snr_exits_two(self, tmp_path, capsys, detector, snr_db):

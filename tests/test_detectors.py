@@ -462,6 +462,19 @@ class TestExtendedPrecision:
         ext = source_count_posteriors(self.x, self.s2, 2, precision="extended")
         assert np.allclose(ext.probabilities, std.probabilities, rtol=1e-10, atol=0.0)
 
+    @pytest.mark.parametrize("n_sources", [1, 2])
+    @pytest.mark.parametrize("hypothesis", ["H0", "H1"])
+    def test_long_observation_matches_extended(self, n_sources, hypothesis):
+        # At L = 1100 the J orders reach N - L - 1 = -1097; the statistic is
+        # defined for every L > N, so both paths evaluate it.
+        s = Scenario(4, 1100, n_sources, -10.0, 1, 5)
+        x = gram_eigenvalues(synthesize_observation(s, hypothesis, 0))
+        prior = PriorConfig(ExactCount(1), ExactNoise(1.0))
+        std = detection_log_ratio(x, prior)
+        ext = detection_log_ratio(x, prior, precision="extended")
+        assert not std.extended_used
+        assert abs(ext.log_ratio.log_magnitude - std.log_ratio.log_magnitude) <= 1e-9
+
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 7: the m=4 determinant is "
                        "accepted at 10.48 digits and ln C is 8.4e-5 from extended "
                        "precision; J's 1e-13 rounding, amplified by the reported "

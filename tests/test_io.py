@@ -118,6 +118,17 @@ class TestReadErrors:
         with pytest.raises(InputError, match="no values"):
             read_observation(path)
 
+    @pytest.mark.parametrize("data, offset", [
+        (b"eigs,4\n2.0\n1.\xe9\n", 13),          # a stray Latin-1 byte
+        (b"\xef\xbb\xbfeigs,4\n2.0\n1.0\n", 0),   # a UTF-8 byte-order mark
+    ])
+    def test_non_ascii_byte_names_file_and_offset(self, tmp_path, data, offset):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        with pytest.raises(InputError, match=rf"bad\.txt: non-ASCII byte 0x[0-9a-f]{{2}} "
+                                             rf"at byte offset {offset}$"):
+            read_observation(path)
+
 
 class TestRocFiles:
     def _curve(self):

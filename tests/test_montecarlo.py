@@ -312,6 +312,11 @@ class TestRunRoc:
         assert list(curve.far) == [0.0, 1.0]
         assert list(curve.cdr) == [0.0, 1.0]
 
+    def test_nan_threshold_is_rejected(self):
+        with pytest.raises(InputError, match="NaN"):
+            run_roc(self._scenario(100), EnergyDetector(),
+                    thresholds=np.array([np.nan, 0.0]))
+
     def test_explicit_thresholds_match_manual_counts(self):
         s = self._scenario(200)
         blocks = _synthesize_block(s, 0, 0, 200)

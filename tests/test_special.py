@@ -288,8 +288,8 @@ class TestJIntegral:
             assert table[:, g, lo:hi].tobytes() == alone.tobytes(), (g, lo)
 
     def test_group_order_out_of_bound_is_named(self):
-        with pytest.raises(DomainError, match=r"k=-1001\.5 outside"):
-            _log_j_batch(np.array([-3.0, -1001.5, 2.0]), np.ones((2, 3)), np.ones((3, 4)))
+        with pytest.raises(DomainError, match=r"k=nan is not finite"):
+            _log_j_batch(np.array([-3.0, np.nan, 2.0]), np.ones((2, 3)), np.ones((3, 4)))
 
     def test_failing_pair_is_named_by_its_own_arguments(self):
         # Above x = 1e308 the integrand falls 60 nats within a step the cut
@@ -341,8 +341,9 @@ class TestJIntegral:
             j_integral(0, -1.0, 1.0)
         with pytest.raises(DomainError):
             j_integral(0, 1.0, -0.5)
-        with pytest.raises(DomainError):
-            j_integral(5000, 1.0, 1.0)
+        for k in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                j_integral(k, 1.0, 1.0)
 
 
 class TestLogJSegmentMp:
