@@ -441,13 +441,21 @@ def _signal_mp(gvals: np.ndarray, L: int, m: int, sigma2: float, dps: int):
                 terms = [f[j][i] / mp.fprod(xs[i] - xs[l] for l in pts if l != i) for i in pts]
                 d[k, j] = mp.fsum(terms)
                 top[k, j] = max(abs(t) for t in terms)
+        # Rows are divided by their largest term first: mpmath's pivot test is
+        # relative to the whole matrix, so rows 1e200 apart (L ~ 1000) would
+        # read as singular.  The digits do not depend on row scale.
+        scale = [max(top[k, j] for j in range(m)) for k in range(m)]
+        for k in range(m):
+            for j in range(m):
+                d[k, j] /= scale[k]
+                top[k, j] /= scale[k]
         det = mp.det(d)
         if det == 0:
             return 0, -math.inf, -math.inf, math.inf
         inv = mp.inverse(d)
         digits = float(mp.log10(mp.fsum(abs(inv[j, k]) * max(abs(d[k, j]), top[k, j])
                                         for k in range(m) for j in range(m))))
-        log_mag = float(mp.log(abs(det)) + pref)
+        log_mag = float(mp.log(abs(det)) + mp.fsum(mp.log(s) for s in scale) + pref)
         return (1 if det > 0 else -1), log_mag, log_mag + digits * _LN10, digits
 
 

@@ -12,10 +12,10 @@ therefore carries values as (sign, log|value|) pairs:
 * :func:`j_integral` evaluates J_k(x, y) = integral of t^k e^(-t - y/t)
   over [x, inf) by fixed 32-node Gauss-Legendre panels on each side of the
   integrand's peak in u = ln t, returning the log of the (always positive)
-  value.  It is :func:`_log_j_batch` at one x and one y; the kernel takes
-  groups of y, each with its own order k and grid of lower limits x, shares
-  each y's peak and the side above it across its grid points, and is what
-  the detectors drive, once per statistic.
+  value.  It is one group at one point of :func:`_log_j_batch`, the kernel
+  the detectors drive once per statistic: it takes groups of y, each with
+  its own order k and grid of lower limits x, and shares each y's peak and
+  the side above it across its grid points.
 * :func:`j_via_bessel` evaluates the same quantity through the independent
   Bessel-K identity and exists purely as an oracle for j_integral.
 * :func:`kappa` and :func:`lemma1_determinant` expose the derivative
@@ -304,13 +304,11 @@ def _side_sums(side, c, t_pk, y_hat):
 
 
 def _log_j_batch(k, x, y) -> np.ndarray:
-    """log J_k(x, y) for groups of rows, each with its own order and grid.
+    """log J_k(x, y) for G groups of rows, each with its own order and grid.
 
-    Grouped form: k of shape (G,), x of shape (P, G) and y of shape (G, n);
-    group g evaluates order k[g] for every y[g, i] >= 0 at every lower limit
-    x[p, g], and the result has shape (P, G, n).  One-group form: k a float,
-    x a float or a 1-D grid and y of shape (n,); the result has shape
-    x.shape + y.shape, and a float x is the one-point grid.
+    k has shape (G,), x shape (P, G) and y shape (G, n); group g evaluates
+    order k[g] for every y[g, i] >= 0 at every lower limit x[p, g], and the
+    result has shape (P, G, n).
 
     The groups are flattened into rows (g, i), which go through _log_j_rows
     in blocks of at most _J_BLOCK_ROWS, so the temporaries stay bounded.
@@ -321,23 +319,13 @@ def _log_j_batch(k, x, y) -> np.ndarray:
     ks = np.asarray(k, dtype=float)
     xs = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if ks.ndim == 0:
-        if xs.ndim > 1 or xs.size == 0:
-            raise DomainError("x must be a float or a non-empty one-dimensional array")
-        if y.ndim != 1:
-            raise DomainError("y must be one-dimensional")
-        shape = xs.shape + y.shape
-        ks, xs, y = ks[None], xs.reshape(-1, 1), y[None, :]
-    elif not (ks.ndim == 1 and xs.ndim == 2 and y.ndim == 2 and xs.shape[0] > 0
-              and xs.shape[1] == ks.size == y.shape[0]):
-        raise DomainError("grouped J arguments must be k (G,), x (P, G) and y (G, n)")
-    else:
-        shape = xs.shape + y.shape[1:]
+    if not (ks.ndim == 1 and xs.ndim == 2 and y.ndim == 2 and xs.shape[0] > 0
+            and xs.shape[1] == ks.size == y.shape[0]):
+        raise DomainError(f"J arguments must be k (G,), x (P, G) and y (G, n) with P >= 1; "
+                          f"got k {ks.shape}, x {xs.shape} and y {y.shape}")
     for kg, col in zip(ks.tolist(), xs.T.tolist()):
         for xp in col:
             _validate_j_args(kg, xp)
-    if y.size == 0:
-        return np.empty(shape)
     if not np.all(np.isfinite(y)) or np.any(y < 0.0):
         raise DomainError("j_integral requires finite y >= 0")
 
@@ -357,7 +345,7 @@ def _log_j_batch(k, x, y) -> np.ndarray:
             g, i = divmod(lo + r, n)
             raise NumericError(f"J quadrature gave a non-positive or non-finite value; "
                                f"first offender k={ks[g]}, x={xs[p, g]}, y={y[g, i]!r}")
-    return out.reshape(shape)
+    return out.reshape(xs.shape + y.shape[1:])
 
 
 @np.errstate(over="ignore", divide="ignore")
@@ -522,7 +510,7 @@ def j_integral(k: float, x: float, y: float, *, precision: str = "standard") -> 
     if precision == "extended":
         log_val = float(_log_j_segment_mp(k, y, math.log(x), math.inf, dps=40))
     elif precision == "standard":
-        log_val = float(_log_j_batch(k, x, np.array([y]))[0])
+        log_val = float(_log_j_batch(np.array([k]), np.array([[x]]), np.array([[y]]))[0, 0, 0])
     else:
         raise DomainError(f"unknown precision mode {precision!r}")
     return SignedLog(1, log_val)

@@ -462,14 +462,18 @@ class TestExtendedPrecision:
         ext = source_count_posteriors(self.x, self.s2, 2, precision="extended")
         assert np.allclose(ext.probabilities, std.probabilities, rtol=1e-10, atol=0.0)
 
-    @pytest.mark.parametrize("n_sources", [1, 2])
-    @pytest.mark.parametrize("hypothesis", ["H0", "H1"])
-    def test_long_observation_matches_extended(self, n_sources, hypothesis):
+    # Ids without a suffix are the prior ExactCount(1).
+    @pytest.mark.parametrize("hypothesis, n_sources, count", [
+        pytest.param(h, n, c, id=f"{h}-{n}" + ("-count2" if c == 2 else ""))
+        for c in (1, 2) for h in ("H0", "H1") for n in (1, 2)])
+    def test_long_observation_matches_extended(self, hypothesis, n_sources, count):
         # At L = 1100 the J orders reach N - L - 1 = -1097; the statistic is
-        # defined for every L > N, so both paths evaluate it.
+        # defined for every L > N, so both paths evaluate it.  At m = 2 the
+        # rows of D differ by about 1e211, which the multiprecision
+        # determinant must not read as singular.
         s = Scenario(4, 1100, n_sources, -10.0, 1, 5)
         x = gram_eigenvalues(synthesize_observation(s, hypothesis, 0))
-        prior = PriorConfig(ExactCount(1), ExactNoise(1.0))
+        prior = PriorConfig(ExactCount(count), ExactNoise(1.0))
         std = detection_log_ratio(x, prior)
         ext = detection_log_ratio(x, prior, precision="extended")
         assert not std.extended_used

@@ -30,7 +30,14 @@ from eigensense.special import (
 )
 from mp_reference import mp_j
 
-# Lower-limit grids for the grid form of _log_j_batch, by what they exercise.
+
+def _one_group(k, xs, ys):
+    """_log_j_batch on one group, order k, grid xs and rows ys: a (P, n) table."""
+    return _log_j_batch(np.array([k], dtype=float), np.reshape(xs, (-1, 1)),
+                        np.reshape(ys, (1, -1)))[:, 0]
+
+
+# Lower-limit grids for one group of _log_j_batch, by what they exercise.
 _GRID_CASES = {
     # Grid points below and above the peaks: some pairs share their row's
     # upper side, the others integrate from ln x.
@@ -199,7 +206,7 @@ class TestJIntegral:
     def test_batch_matches_scalar_bit_for_bit(self):
         rng = np.random.default_rng(4)
         ys = rng.uniform(0.0, 50.0, 64)
-        batch = _log_j_batch(-7, 0.5, ys)
+        batch = _one_group(-7, 0.5, ys)[0]
         for i, y in enumerate(ys):
             assert batch[i] == j_integral(-7, 0.5, float(y)).log_magnitude
 
@@ -207,10 +214,10 @@ class TestJIntegral:
         # splitting a batch must not change any element
         rng = np.random.default_rng(5)
         ys = rng.uniform(0.0, 20.0, 30)
-        whole = _log_j_batch(-4, 1.3, ys)
-        parts = np.concatenate([_log_j_batch(-4, 1.3, ys[:11]),
-                                _log_j_batch(-4, 1.3, ys[11:17]),
-                                _log_j_batch(-4, 1.3, ys[17:])])
+        whole = _one_group(-4, 1.3, ys)
+        parts = np.concatenate([_one_group(-4, 1.3, ys[:11]),
+                                _one_group(-4, 1.3, ys[11:17]),
+                                _one_group(-4, 1.3, ys[17:])], axis=1)
         assert np.array_equal(whole, parts)
 
     @pytest.mark.parametrize("k, x, y_max", [(-4, 1.3, 20.0), (-12, 2511.9, 1e20),
@@ -218,8 +225,8 @@ class TestJIntegral:
     def test_each_row_alone_matches_the_batch(self, k, x, y_max):
         # Every split position at once: each y alone against the whole batch.
         ys = np.random.default_rng(5).uniform(0.0, y_max, 257)
-        whole = _log_j_batch(k, x, ys)
-        alone = np.array([_log_j_batch(k, x, ys[i:i + 1])[0] for i in range(ys.size)])
+        whole = _one_group(k, x, ys)
+        alone = np.concatenate([_one_group(k, x, ys[i:i + 1]) for i in range(ys.size)], axis=1)
         assert whole.tobytes() == alone.tobytes()
 
     def test_rows_with_many_panels_match_alone(self):
@@ -227,20 +234,17 @@ class TestJIntegral:
         # A batch pads each row to its longest row with zero-length panels,
         # which must leave the row's sum unchanged bit for bit.
         ys = np.concatenate([[0.0], 10.0 ** np.random.default_rng(1).uniform(-300, 2, 300)])
-        whole = _log_j_batch(-1, 1e-300, ys)
-        alone = np.array([_log_j_batch(-1, 1e-300, ys[i:i + 1])[0] for i in range(ys.size)])
+        whole = _one_group(-1, 1e-300, ys)
+        alone = np.concatenate([_one_group(-1, 1e-300, ys[i:i + 1]) for i in range(ys.size)],
+                               axis=1)
         assert whole.tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("k, xs, ys", _GRID_CASES.values(), ids=_GRID_CASES.keys())
     def test_grid_point_matches_its_own_call(self, k, xs, ys):
-        grid = _log_j_batch(k, xs, ys)
+        grid = _one_group(k, xs, ys)
         assert grid.shape == (xs.size, ys.size)
         for p, x in enumerate(xs):
-            assert grid[p].tobytes() == _log_j_batch(k, float(x), ys).tobytes(), x
-        # A one-point grid is a float x with one more axis.
-        one = _log_j_batch(k, xs[-1:], ys)
-        assert one.shape == (1, ys.size)
-        assert one.tobytes() == _log_j_batch(k, float(xs[-1]), ys).tobytes()
+            assert grid[p].tobytes() == _one_group(k, x, ys).tobytes(), x
 
     def test_grid_cases_reach_every_kind_of_pair(self):
         # Pairs whose peak lies above ln x (sharing the row's upper side),
@@ -271,7 +275,7 @@ class TestJIntegral:
         table = _log_j_batch(ks, xs, ys)
         assert table.shape == (p, ks.size, n)
         for g, k in enumerate(ks):
-            assert table[:, g].tobytes() == _log_j_batch(k, xs[:, g], ys[g]).tobytes(), k
+            assert table[:, g].tobytes() == _one_group(k, xs[:, g], ys[g]).tobytes(), k
 
     def test_rows_past_one_block_match_the_blocks_called_alone(self):
         # Two groups of n rows: the first block of _J_BLOCK_ROWS rows ends
@@ -284,8 +288,20 @@ class TestJIntegral:
         xs = np.array([[0.5, 2.0], [3.0, 0.1]])
         table = _log_j_batch(ks, xs, ys)
         for g, lo, hi in [(0, 0, n), (1, 0, split), (1, split, n)]:
-            alone = _log_j_batch(ks[g], xs[:, g], ys[g, lo:hi])
+            alone = _one_group(ks[g], xs[:, g], ys[g, lo:hi])
             assert table[:, g, lo:hi].tobytes() == alone.tobytes(), (g, lo)
+
+    @pytest.mark.parametrize("ks, xs, ys", [
+        (-3.0, np.ones(2), np.ones(4)),                   # a float k, 1-D x and y
+        (np.array([-3.0]), np.ones(2), np.ones((1, 4))),  # a 1-D x
+        (np.array([-3.0]), np.ones((2, 1)), np.ones(4)),  # a 1-D y
+        (np.array([-3.0, 2.0]), np.ones((2, 3)), np.ones((2, 4))),  # G differs in x
+        (np.array([-3.0, 2.0]), np.ones((2, 2)), np.ones((3, 4))),  # G differs in y
+        (np.array([-3.0]), np.ones((0, 1)), np.ones((1, 4))),       # an empty grid
+    ], ids=["one_group", "x_1d", "y_1d", "x_g", "y_g", "empty_grid"])
+    def test_malformed_shapes_name_the_expected_ones(self, ks, xs, ys):
+        with pytest.raises(DomainError, match=re.escape("k (G,), x (P, G) and y (G, n)")):
+            _log_j_batch(ks, xs, ys)
 
     def test_group_order_out_of_bound_is_named(self):
         with pytest.raises(DomainError, match=r"k=nan is not finite"):
@@ -313,9 +329,13 @@ class TestJIntegral:
     def test_matches_40_digit_reference(self, ks, xs, ys):
         # The reference is the 40-digit segment (mp_j misses the narrow peak
         # at large y).  Within 2e-13 where |log J| < 1e3, else within 2 ulp.
-        for k in ks:
-            for x in xs:
-                for y, got in zip(ys, _log_j_batch(k, x, np.array(ys))):
+        # One grouped call, as the detectors make: one group per order, each
+        # with the whole grid and every y.
+        table = _log_j_batch(np.array(ks, dtype=float), np.tile(np.array(xs)[:, None], len(ks)),
+                             np.tile(ys, (len(ks), 1)))
+        for g, k in enumerate(ks):
+            for p, x in enumerate(xs):
+                for y, got in zip(ys, table[p, g]):
                     ref = _log_j_segment_mp(k, y, math.log(x), math.inf, 40)
                     tol = 2e-13 if abs(ref) < 1e3 else 2 * math.ulp(float(ref))
                     assert abs(mp.mpf(float(got)) - ref) <= tol, (k, x, y)
@@ -326,7 +346,8 @@ class TestJIntegral:
         # and computed in bounded memory.
         code = ("import numpy as np\n"
                 "from eigensense.special import _log_j_batch\n"
-                "print(repr(float(_log_j_batch(-7, 1.0, np.array([1.0, 1e20]))[1])))\n")
+                "j = _log_j_batch(np.array([-7.0]), np.array([[1.0]]), np.array([[1.0, 1e20]]))\n"
+                "print(repr(float(j[0, 0, 1])))\n")
         proc = capped_python(["-c", code], timeout=30)
         assert proc.returncode == 0, proc.stderr
         got = float(proc.stdout)
