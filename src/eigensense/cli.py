@@ -32,7 +32,7 @@ from .detectors import (
     source_count_posteriors,
 )
 from .errors import DomainError, InputError, NumericError
-from .io import read_observation, write_roc_csv, write_roc_sidecar
+from .io import _fmt, _write_lines, read_observation, write_roc_csv, write_roc_sidecar
 from .montecarlo import (
     BayesDetector,
     EnergyDetector,
@@ -141,23 +141,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, output) -> None:
-    if output:
-        with open(output, "w", encoding="ascii") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
-
-
 def _report(args, body: dict, csv_lines) -> int:
-    """Write a subcommand's report: csv_lines as CSV, or body as JSON under
-    the tool/version/command envelope."""
-    if args.format == "csv":
-        _emit("\n".join(csv_lines), args.output)
+    """Print a subcommand's report, or write it to --output: csv_lines as
+    CSV, or body as JSON under the tool/version/command envelope."""
+    report = {"tool": "eigensense", "version": __version__, "command": args.command, **body}
+    lines = csv_lines if args.format == "csv" else [json.dumps(report, indent=2)]
+    if args.output:
+        _write_lines(args.output, lines)
     else:
-        report = {"tool": "eigensense", "version": __version__,
-                  "command": args.command, **body}
-        _emit(json.dumps(report, indent=2), args.output)
+        print("\n".join(lines))
     return 0
 
 
@@ -303,15 +295,11 @@ def _cmd_table(args) -> int:
     max_lemma = max(r["rel_residual"] for r in lemma_rows)
 
     lines = ["k,x,y,log_j_quadrature,j_via_bessel,rel_deviation"]
-    for r in j_rows:
-        lines.append(f"{r['k']},{r['x']:.17g},{r['y']:.17g},"
-                     f"{r['log_j_quadrature']:.17g},{r['j_via_bessel']:.17g},"
-                     f"{r['rel_deviation']:.3e}")
+    lines += [f"{r['k']},{_fmt(r['x'])},{_fmt(r['y'])},{_fmt(r['log_j_quadrature'])},"
+              f"{_fmt(r['j_via_bessel'])},{r['rel_deviation']:.3e}" for r in j_rows]
     lines += ["", "n,draw,b,determinant,closed_form,rel_residual"]
-    for r in lemma_rows:
-        lines.append(f"{r['n']},{r['draw']},{r['b']:.17g},"
-                     f"{r['determinant']:.17g},{r['closed_form']:.17g},"
-                     f"{r['rel_residual']:.3e}")
+    lines += [f"{r['n']},{r['draw']},{_fmt(r['b'])},{_fmt(r['determinant'])},"
+              f"{_fmt(r['closed_form'])},{r['rel_residual']:.3e}" for r in lemma_rows]
     body = {
         "max_j_rel_deviation": max_j,
         "max_lemma_rel_residual": max_lemma,
@@ -327,9 +315,9 @@ def _cmd_count(args) -> int:
         spectrum, args.sigma2, args.m_max,
         include_noise_hypothesis=args.include_noise,
         precision=args.precision)
-    lines = ["count,probability,ratio"]
-    for k, p, r in zip(posterior.counts, posterior.probabilities, posterior.ratios):
-        lines.append(f"{k},{p:.17g},{r:.17g}")
+    lines = ["count,probability,ratio"] + [
+        f"{k},{_fmt(p)},{_fmt(r)}"
+        for k, p, r in zip(posterior.counts, posterior.probabilities, posterior.ratios)]
     body = {
         "input": args.input,
         "config": {

@@ -28,6 +28,7 @@ multiprecision on the scalar path.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -68,6 +69,12 @@ _LOG_PI = math.log(math.pi)
 _GAP_REL = 1e-9
 _PERTURB_EPS = 1e-8
 
+# Multiprecision tier: working digits tried (doubling from the start) and
+# the digits a kept row must have to spare beyond its cancellation.
+_MP_DPS_START = 60
+_MP_DPS_MAX = 600
+_MP_SPARE_DIGITS = 20
+
 
 # ---------------------------------------------------------------------------
 # Receiver priors
@@ -80,9 +87,9 @@ class ExactCount:
     m: int
 
     def __post_init__(self):
-        if int(self.m) < 1:
+        object.__setattr__(self, "m", _check_integer("m", self.m))
+        if self.m < 1:
             raise DomainError("source count must be >= 1")
-        object.__setattr__(self, "m", int(self.m))
 
 
 @dataclass(frozen=True)
@@ -92,9 +99,9 @@ class BoundedCount:
     m_max: int
 
     def __post_init__(self):
-        if int(self.m_max) < 1:
+        object.__setattr__(self, "m_max", _check_integer("m_max", self.m_max))
+        if self.m_max < 1:
             raise DomainError("m_max must be >= 1")
-        object.__setattr__(self, "m_max", int(self.m_max))
 
 
 @dataclass(frozen=True)
@@ -125,7 +132,8 @@ class NoiseGrid:
     scale: str = "linear"
 
     def __post_init__(self):
-        lo, hi, k = float(self.sigma2_min), float(self.sigma2_max), int(self.k_points)
+        lo, hi = float(self.sigma2_min), float(self.sigma2_max)
+        k = _check_integer("k_points", self.k_points)
         if self.scale not in ("linear", "db"):
             raise DomainError(f"grid scale must be 'linear' or 'db', got {self.scale!r}")
         if k < 1:
@@ -240,6 +248,16 @@ class CountPosterior:
 # Validation and the degeneracy guard
 # ---------------------------------------------------------------------------
 
+def _check_integer(name: str, value) -> int:
+    """value as an int if it is a finite whole number (2, 2.0 and numpy
+    integers pass); anything else raises DomainError naming the argument."""
+    if isinstance(value, numbers.Integral) or (
+            isinstance(value, numbers.Real) and math.isfinite(value)
+            and float(value).is_integer()):
+        return int(value)
+    raise DomainError(f"{name} must be a finite integer, got {value!r}")
+
+
 def _check_sigma2(sigma2: float) -> float:
     s = float(sigma2)
     if not (math.isfinite(s) and s > 0.0):
@@ -271,21 +289,21 @@ def _guard_values_batch(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if n == 1:
         return vals, np.zeros(b, dtype=bool)
     scale = np.where(vals[:, 0] > 0.0, vals[:, 0], 1.0)
-    gaps = vals[:, :-1] - vals[:, 1:]
-    flagged = gaps.min(axis=1) < _GAP_REL * scale
+    # <=, not <: where x_1 is subnormal the threshold underflows to 0, and a
+    # zero gap must still be flagged.
+    flagged = (vals[:, :-1] - vals[:, 1:]).min(axis=1) <= _GAP_REL * scale
     if not flagged.any():
         return vals, flagged
-    out = vals.copy()
     ranks = np.arange(1, n + 1, dtype=float)
-    sym = 0.5 * (n + 1) - ranks
-    pos = n - ranks
-    for i in np.nonzero(flagged)[0]:
-        offsets = _PERTURB_EPS * scale[i] * sym
-        if vals[i, -1] + offsets[-1] < 0.0:
-            offsets = _PERTURB_EPS * scale[i] * pos
-        out[i] = vals[i] + offsets
-        if np.any(out[i, :-1] - out[i, 1:] <= 0.0) or np.any(out[i] < 0.0):
-            raise DegeneracyError("spectrum remained degenerate after the deterministic guard")
+    step = _PERTURB_EPS * scale[flagged, None]
+    offsets = step * (0.5 * (n + 1) - ranks)
+    offsets = np.where(vals[flagged, -1:] + offsets[:, -1:] < 0.0, step * (n - ranks), offsets)
+    guarded = vals[flagged] + offsets
+    # Reachable where the offsets themselves underflow (a subnormal spectrum).
+    if np.any(guarded[:, :-1] - guarded[:, 1:] <= 0.0) or np.any(guarded < 0.0):
+        raise DegeneracyError("spectrum remained degenerate after the deterministic guard")
+    out = vals.copy()
+    out[flagged] = guarded
     return out, flagged
 
 
@@ -511,23 +529,24 @@ def _log_ratio_rows(log_mag: np.ndarray, gvals: np.ndarray, L: int, ms,
 # Scalar evaluation: the components at B=1, escalating the rejected ones
 # ---------------------------------------------------------------------------
 
-def _signal_from_guarded(gvals: np.ndarray, L: int, m: int, sigma2: float,
-                         digits_hint: float):
+def _signal_from_guarded(gvals: np.ndarray, L: int, m: int, sigma2: float):
     """Multiprecision (sign, log_mag, peak, digits) row of ln P(Y | m sources),
     sign +1, for a component the double path rejected.
 
-    digits_hint is the double path's cancellation (inf when it was not run)
-    and sizes the working precision.
+    The working precision starts at _MP_DPS_START digits and doubles, up to
+    _MP_DPS_MAX, until the row has sign +1 and digits <= dps -
+    _MP_SPARE_DIGITS; a row that never does raises NumericError.
     """
-    dps = min(300, 40 + int(1.6 * digits_hint)) if math.isfinite(digits_hint) else 60
-    for _ in range(2):
+    dps = _MP_DPS_START
+    while True:
         row = _signal_mp(gvals, L, m, sigma2, dps)
-        if row[0] == 1:
+        if row[0] == 1 and row[3] <= dps - _MP_SPARE_DIGITS:
             return row
-        dps = min(600, 2 * dps)
-    raise NumericError(
-        f"signal likelihood sign stayed {row[0]} after multiprecision retry "
-        f"(N={gvals.size}, L={L}, m={m}, sigma2={sigma2})")
+        if dps >= _MP_DPS_MAX:
+            raise NumericError(
+                f"signal likelihood kept sign {row[0]} with {row[3]:.1f} digits cancelled "
+                f"at {dps} working digits (N={gvals.size}, L={L}, m={m}, sigma2={sigma2})")
+        dps = min(_MP_DPS_MAX, 2 * dps)
 
 
 def _components_at_one(gvals: np.ndarray, L: int, ms, points, precision: str):
@@ -535,7 +554,7 @@ def _components_at_one(gvals: np.ndarray, L: int, ms, points, precision: str):
 
     Columns that fail _accepted take _signal_from_guarded's row instead.
     Under precision="extended" every column starts as inf, so all of them
-    fail and the digits hint gives the default working precision.
+    fail.
     """
     if precision not in ("standard", "extended"):
         raise DomainError(f"unknown precision mode {precision!r}")
@@ -546,7 +565,7 @@ def _components_at_one(gvals: np.ndarray, L: int, ms, points, precision: str):
     redo = np.flatnonzero(~_accepted(comps[0], comps[1], comps[3]))
     for i in redo.tolist():
         m, p = ms[i // len(points)], float(points[i % len(points)])
-        comps[:, i] = _signal_from_guarded(gvals, L, m, p, float(comps[3, i]))
+        comps[:, i] = _signal_from_guarded(gvals, L, m, p)
     return comps, redo.size > 0
 
 
@@ -565,7 +584,7 @@ def log_simo_signal_likelihood(x: EigenSpectrum, sigma2: float, *,
 def log_mimo_signal_likelihood(x: EigenSpectrum, m: int, sigma2: float, *,
                                precision: str = "standard") -> SignedLog:
     """ln P(Y | m sources, noise power sigma2) as a SignedLog (sign +1)."""
-    m = int(m)
+    m = _check_integer("m", m)
     if m < 1:
         raise DomainError("m must be >= 1")
     if m > x.n_sensors:
@@ -647,7 +666,7 @@ def source_count_posteriors(x: EigenSpectrum, sigma2: float, m_max: int, *,
     probabilities[k] is proportional to P(Y | k sources), and ratios[k]
     is the posterior odds p_k / (1 - p_k).
     """
-    m_max = int(m_max)
+    m_max = _check_integer("m_max", m_max)
     if not 1 <= m_max <= x.n_sensors:
         raise DomainError(f"m_max must lie in [1, N]; got m_max={m_max}, N={x.n_sensors}")
     s2 = _check_sigma2(sigma2)

@@ -35,22 +35,25 @@ _LN10 = np.log(10.0)
 
 
 def _fmt(value: float) -> str:
+    """A number as 17 significant digits, which reads back to the same double."""
     return f"{float(value):.17g}"
 
 
-def write_sample_matrix(path, matrix: SampleMatrix) -> None:
-    lines = [f"{matrix.n_sensors},{matrix.n_snapshots}"]
-    for row in matrix.entries:
-        lines.append(",".join(f"{_fmt(c.real)}:{_fmt(c.imag)}" for c in row))
+def _write_lines(path, lines) -> None:
+    """Write lines to path as ASCII text, each ended by a newline.  Every
+    file the package writes goes through here."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_sample_matrix(path, matrix: SampleMatrix) -> None:
+    _write_lines(path, [f"{matrix.n_sensors},{matrix.n_snapshots}"]
+                 + [",".join(f"{_fmt(c.real)}:{_fmt(c.imag)}" for c in row)
+                    for row in matrix.entries])
 
 
 def write_eigen_spectrum(path, spectrum: EigenSpectrum) -> None:
-    lines = [f"eigs,{spectrum.n_snapshots}"]
-    lines.extend(_fmt(v) for v in spectrum.values)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, [f"eigs,{spectrum.n_snapshots}"] + [_fmt(v) for v in spectrum.values])
 
 
 def _parse_cell(cell: str, where: str) -> complex:
@@ -118,12 +121,10 @@ def read_observation(path):
 
 
 def write_roc_csv(path, curve: RocCurve) -> None:
-    lines = ["threshold,far,cdr"]
     log10_thr = curve.thresholds / _LN10
-    for t, f, c in zip(log10_thr, curve.far, curve.cdr):
-        lines.append(f"{_fmt(t)},{_fmt(f)},{_fmt(c)}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, ["threshold,far,cdr"]
+                 + [f"{_fmt(t)},{_fmt(f)},{_fmt(c)}"
+                    for t, f, c in zip(log10_thr, curve.far, curve.cdr)])
 
 
 def write_roc_sidecar(path, curve: RocCurve, config: dict,
@@ -141,6 +142,4 @@ def write_roc_sidecar(path, curve: RocCurve, config: dict,
         "n_failed_signal": curve.n_failed_signal,
         "runtime_seconds": runtime_seconds,
     }
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_lines(path, [json.dumps(payload, indent=2)])

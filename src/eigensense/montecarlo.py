@@ -24,6 +24,7 @@ from .detectors import (
     PriorConfig,
     _batch_energy_stats,
     _batch_fast_stats,
+    _check_integer,
     _retry_rows_scalar,
 )
 from .errors import DomainError, InputError, NumericError
@@ -68,7 +69,7 @@ class Scenario:
 
     def __post_init__(self):
         for name in ("n_sensors", "n_snapshots", "n_sources", "n_trials", "seed"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name)))
         object.__setattr__(self, "snr_db", float(self.snr_db))
         if self.n_sensors < 1 or self.n_snapshots < 1:
             raise DomainError("scenario needs n_sensors >= 1 and n_snapshots >= 1")
@@ -99,6 +100,10 @@ class BayesDetector:
     """Run the closed-form ratio under the given receiver prior."""
 
     prior: PriorConfig
+
+    def __post_init__(self):
+        if not isinstance(self.prior, PriorConfig):
+            raise DomainError(f"prior must be a PriorConfig, got {self.prior!r}")
 
     @property
     def label(self) -> str:
@@ -266,15 +271,16 @@ def mc_signal_likelihood_oracle(y: SampleMatrix, m: int, sigma2: float,
     estimate).  Completely independent of the closed-form machinery: it
     averages the conditional Gaussian density over fresh channel draws.
     """
-    m = int(m)
-    n_samples = int(n_samples)
+    m = _check_integer("m", m)
+    n_samples = _check_integer("n_samples", n_samples)
+    seed = _check_integer("seed", seed)
     if m < 1:
         raise DomainError("m must be >= 1")
     if n_samples < 1000:
         raise DomainError("n_samples < 1000 gives a meaningless standard error")
     if not (math.isfinite(sigma2) and sigma2 > 0.0):
         raise DomainError("sigma2 must be positive and finite")
-    if not 0 <= int(seed) < 2 ** 64:
+    if not 0 <= seed < 2 ** 64:
         raise DomainError("seed must fit in an unsigned 64-bit integer")
 
     from .special import SignedLog
@@ -283,7 +289,7 @@ def mc_signal_likelihood_oracle(y: SampleMatrix, m: int, sigma2: float,
     w_mat = y.entries @ y.entries.conj().T
     lls = np.empty(n_samples)
     n_chunks = (n_samples + _ORACLE_CHUNK - 1) // _ORACLE_CHUNK
-    point = _repointer(_stream(int(seed), _ORACLE_HYP_CODE, 0, 0))
+    point = _repointer(_stream(seed, _ORACLE_HYP_CODE, 0, 0))
     for c in range(n_chunks):
         start = c * _ORACLE_CHUNK
         count = min(_ORACLE_CHUNK, n_samples - start)
@@ -309,7 +315,7 @@ def _exact_n1_log(x1: float, sigma2: float, n_snapshots: int) -> float:
     """
     x1 = float(x1)
     sigma2 = float(sigma2)
-    L = int(n_snapshots)
+    L = _check_integer("n_snapshots", n_snapshots)
     if x1 < 0.0 or not math.isfinite(x1):
         raise DomainError("x1 must be finite and >= 0")
     if not (math.isfinite(sigma2) and sigma2 > 0.0):
@@ -432,7 +438,7 @@ def run_roc(s: Scenario, detector, thresholds="auto", n_threads: int = 1) -> Roc
     """
     if not isinstance(detector, (BayesDetector, EnergyDetector)):
         raise DomainError("detector must be a BayesDetector or EnergyDetector")
-    n_threads = int(n_threads)
+    n_threads = _check_integer("n_threads", n_threads)
     if n_threads < 1:
         raise DomainError("n_threads must be >= 1")
 

@@ -293,6 +293,27 @@ class TestCount:
         assert report["ratios"] == [0.0, None]
 
 
+class TestReportText:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("command", ["detect", "count", "table"])
+    def test_output_file_equals_stdout(self, tmp_path, capsys, monkeypatch, command, fmt):
+        # One renderer: --output holds the bytes stdout would, ASCII lines
+        # each ended by one newline.  The table grids are cut to keep it quick.
+        monkeypatch.setattr(cli, "_TABLE_J_ORDERS", range(-2, 1))
+        monkeypatch.setattr(cli, "_TABLE_LEMMA_DRAWS", 2)
+        obs = _write_eigs(tmp_path, [6.0, 2.5, 0.9], 9)
+        args = {"detect": ["--input", obs, "--sigma2", "1.0", "--m-max", "2"],
+                "count": ["--input", obs, "--sigma2", "1.0", "--m-max", "3"],
+                "table": []}[command]
+        assert main([command, *args, "--format", fmt]) == 0
+        printed = capsys.readouterr().out.encode("ascii")
+        out = tmp_path / f"report.{fmt}"
+        assert main([command, *args, "--format", fmt, "--output", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed
+        assert printed.endswith(b"\n") and not printed.endswith(b"\n\n")
+
+
 class TestExitCodes:
     def test_usage_errors(self, capsys):
         assert main([]) == 2
@@ -319,6 +340,16 @@ class TestExitCodes:
                      "--grid-scale", "db"])
         assert code == 2
         assert "-300.0:3000.0:12" in capsys.readouterr().err
+
+    def test_subnormal_zero_gap_exits_three_without_warnings(self, tmp_path, capsys):
+        # The guard flags the zero gap although its threshold underflows.
+        obs = _write_eigs(tmp_path, [1e-320, 1e-320], 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["detect", "--input", obs, "--sigma2", "1.0"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "degenerate" in err and "Warning" not in err
 
     def test_domain_error_exits_two(self, tmp_path, capsys):
         # More snapshots than sensors is required by the Bayesian detectors.

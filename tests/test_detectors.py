@@ -8,6 +8,7 @@ internals.
 """
 
 import math
+import re
 import time
 import warnings
 
@@ -16,12 +17,15 @@ import numpy as np
 import pytest
 
 from eigensense import (
+    BayesDetector,
     BoundedCount,
+    DegeneracyError,
     DomainError,
     EigenSpectrum,
     ExactCount,
     ExactNoise,
     NoiseGrid,
+    NumericError,
     PriorConfig,
     Scenario,
     detection_log_ratio,
@@ -30,6 +34,7 @@ from eigensense import (
     log_mimo_signal_likelihood,
     log_noise_likelihood,
     log_simo_signal_likelihood,
+    run_roc,
     source_count_posteriors,
     synthesize_observation,
 )
@@ -292,6 +297,18 @@ class TestDetectionRatio:
             rows, mask = _guard_values_batch(v[None, :])
             assert np.array_equal(out, rows[0]) and flagged == mask[0]
 
+    @pytest.mark.parametrize("precision", ["standard", "extended"])
+    def test_subnormal_zero_gap_raises_degeneracy(self, precision):
+        # At x_1 = 1e-320 the guard's threshold underflows to 0, yet the zero
+        # gap is flagged; the offsets underflow too, so the guard's own
+        # re-check raises before any log of a zero gap is taken.
+        x = EigenSpectrum([1e-320, 1e-320], 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegeneracyError):
+                detection_log_ratio(x, PriorConfig(ExactCount(1), ExactNoise(1.0)),
+                                    precision=precision)
+
     def test_prior_count_exceeding_sensors_rejected(self):
         x = EigenSpectrum([3.0, 1.0], 6)
         with pytest.raises(DomainError):
@@ -427,6 +444,39 @@ class TestPriorValidation:
         # Wider linear cells at the top of the dB range get more weight.
         assert weights[2] > weights[1] > weights[0]
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: ExactCount(2.5), "m must be a finite integer, got 2.5"),
+        (lambda: BoundedCount(3.9), "m_max must be a finite integer, got 3.9"),
+        (lambda: NoiseGrid(0.5, 2.0, 3.7), "k_points must be a finite integer, got 3.7"),
+        (lambda: Scenario(4.9, 8.2, 1.5, 0.0, 10.5, 1.7),
+         "n_sensors must be a finite integer, got 4.9"),
+        (lambda: Scenario(4, 8, 1.5, 0.0, 10, 1), "n_sources must be a finite integer, got 1.5"),
+        (lambda: Scenario(4, 8, 1, 0.0, 10, 1.7), "seed must be a finite integer, got 1.7"),
+        (lambda: source_count_posteriors(EigenSpectrum([3.0, 1.0], 6), 1.0, 2.5),
+         "m_max must be a finite integer, got 2.5"),
+        (lambda: log_mimo_signal_likelihood(EigenSpectrum([3.0, 1.0], 6), 1.5, 1.0),
+         "m must be a finite integer, got 1.5"),
+        (lambda: ExactCount(math.nan), "m must be a finite integer, got nan"),
+        (lambda: NoiseGrid(0.5, 2.0, math.inf), "k_points must be a finite integer, got inf"),
+        (lambda: run_roc(Scenario(4, 8, 1, 0.0, 10, 1),
+                         BayesDetector(PriorConfig(ExactCount(1), ExactNoise(1.0))),
+                         n_threads=1.5), "n_threads must be a finite integer, got 1.5"),
+        (lambda: BayesDetector("x"), "prior must be a PriorConfig, got 'x'"),
+    ], ids=["ExactCount", "BoundedCount", "NoiseGrid", "Scenario", "Scenario-sources",
+            "Scenario-seed", "source_count_posteriors", "log_mimo_signal_likelihood",
+            "ExactCount-nan", "NoiseGrid-inf", "run_roc-threads", "BayesDetector"])
+    def test_bad_counts_and_priors_are_domain_errors(self, make, message):
+        # A fractional or non-finite count is refused, never truncated, and a
+        # detector's prior is checked when the detector is built.
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            make()
+
+    def test_integral_counts_of_any_type_pass(self):
+        assert ExactCount(2.0).m == 2 and type(ExactCount(2.0).m) is int
+        assert BoundedCount(np.int64(3)).m_max == 3
+        assert NoiseGrid(0.5, 2.0, np.float64(4.0)).k_points == 4
+        assert Scenario(4, 8, 1, 0.0, 10.0, np.uint64(2 ** 64 - 1)).seed == 2 ** 64 - 1
+
     def test_prior_config_types(self):
         with pytest.raises(DomainError):
             PriorConfig(1, ExactNoise(1.0))
@@ -527,12 +577,64 @@ class TestExtendedPrecision:
         assert abs(std.log_ratio.log_magnitude - ext.log_ratio.log_magnitude) <= 1e-3
         assert std.decides_signal() == ext.decides_signal()
 
+    @pytest.mark.parametrize("precision", ["standard", "extended"])
+    @pytest.mark.parametrize("n, L, sigma2, want", [
+        (8, 12, 1e4, -0.009589498736772839),
+        (8, 12, 1e5, -0.0009598948283837672),
+        (6, 9, 1e8, -5.296647032082547e-07),
+    ])
+    def test_multiprecision_row_has_digits_to_spare(self, n, L, sigma2, want, precision):
+        # x / sigma2 << 1 cancels 53 to 78 digits, so a multiprecision row is
+        # kept only with 20 working digits to spare.  want is _signal_mp at
+        # 200 digits (300 give the same double), near the first-order limit
+        # -L N / sigma2.
+        x = EigenSpectrum(np.linspace(10.0, 1.0, n), L)
+        stat = detection_log_ratio(x, PriorConfig(ExactCount(1), ExactNoise(sigma2)),
+                                   precision=precision)
+        assert stat.extended_used
+        assert abs(stat.log_ratio.log_magnitude - want) <= 1e-12
+
+    def test_multiprecision_gives_up_naming_digits_and_dps(self, monkeypatch):
+        # Points 1e-300 apart need more working digits than the cap allows.
+        monkeypatch.setattr(detectors, "_MP_DPS_MAX", 120)
+        x = EigenSpectrum([3e-300, 2e-300, 1e-300], 5)
+        with pytest.raises(NumericError, match=r"digits cancelled at 120 working digits"):
+            detection_log_ratio(x, PriorConfig(ExactCount(1), ExactNoise(1.0)))
+
     def test_unknown_mode_rejected(self):
         prior = PriorConfig(ExactCount(1), ExactNoise(self.s2))
         with pytest.raises(DomainError):
             detection_log_ratio(self.x, prior, precision="bogus")
         with pytest.raises(DomainError):
             log_simo_signal_likelihood(self.x, self.s2, precision="bogus")
+
+
+class TestLowSnrMisses:
+    """Inputs where x / sigma2 << 1 makes e^{x / sigma2} nearly a polynomial
+    over the spectrum, so D's divided differences are the small remainder of
+    an alternating sum: the mechanism of ROADMAP item 12's -35 dB rows."""
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 12: the double path accepts "
+                       "this row at 10.4 to 11.0 digits cancelled, with ln C = +39.73 "
+                       "(sigma2 = 1e5) and +54.93 (1e6), and decides signal")
+    @pytest.mark.parametrize("sigma2, want", [(1e5, -3.1997700409647223e-4),
+                                              (1e6, -3.1999879695376876e-5)])
+    def test_accepted_row_matches_extended(self, sigma2, want):
+        # want is precision="extended", equal to _signal_mp at 200 digits.
+        x = EigenSpectrum(np.linspace(10.0, 1.0, 4), 8)
+        stat = detection_log_ratio(x, PriorConfig(ExactCount(1), ExactNoise(sigma2)))
+        assert abs(stat.log_ratio.log_magnitude - want) <= 1e-8
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 12: the divided differences "
+                       "over points 1e-300 apart cancel beyond 600 digits, so the "
+                       "multiprecision tier raises NumericError (a 61-digit row "
+                       "gave ln C = +1096.17)")
+    def test_tiny_spectrum_is_the_zero_spectrum_limit(self):
+        # The all-zero spectrum gives -4.518811675, and [1e-6, 2e-6, 3e-6]
+        # gives -4.518810836.
+        x = EigenSpectrum([3e-300, 2e-300, 1e-300], 5)
+        stat = detection_log_ratio(x, PriorConfig(ExactCount(1), ExactNoise(1.0)))
+        assert abs(stat.log_ratio.log_magnitude - (-4.518811674685363)) <= 1e-6
 
 
 class TestScalarIsBatchRow:

@@ -18,6 +18,7 @@ from eigensense import (
     write_roc_sidecar,
     write_sample_matrix,
 )
+from eigensense.io import _write_lines
 
 
 class TestMatrixRoundTrip:
@@ -166,3 +167,28 @@ class TestRocFiles:
         assert payload["n_failed_signal"] == 1
         assert payload["config"] == {"detector": "bayes"}
         assert payload["runtime_seconds"] == 1.25
+
+    def test_every_writer_ends_with_one_newline(self, tmp_path):
+        curve = self._curve()
+        writers = {
+            "matrix.txt": lambda p: write_sample_matrix(p, SampleMatrix(np.ones((2, 3)))),
+            "eigs.txt": lambda p: write_eigen_spectrum(p, EigenSpectrum([2.0, 1.0], 4)),
+            "roc.csv": lambda p: write_roc_csv(p, curve),
+            "roc.json": lambda p: write_roc_sidecar(p, curve, {}, 0.5),
+        }
+        for name, write in writers.items():
+            write(tmp_path / name)
+            data = (tmp_path / name).read_bytes()
+            data.decode("ascii")
+            assert data.endswith(b"\n") and not data.endswith(b"\n\n"), name
+        payload = json.loads((tmp_path / "roc.json").read_text())
+        assert (tmp_path / "roc.json").read_text() == json.dumps(payload, indent=2) + "\n"
+
+
+class TestWriteLines:
+    def test_lines_are_ascii_and_newline_ended(self, tmp_path):
+        path = tmp_path / "out.txt"
+        _write_lines(path, ["a,b", "", "1"])
+        assert path.read_bytes() == b"a,b\n\n1\n"
+        with pytest.raises(UnicodeEncodeError):
+            _write_lines(path, ["µ"])
