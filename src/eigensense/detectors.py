@@ -28,10 +28,8 @@ multiprecision on the scalar path.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .errors import DegeneracyError, DomainError, NumericError
@@ -43,7 +41,7 @@ from .special import (
     _log_j_segment_mp,
     _signed_lse_rows,
 )
-from .spectra import EigenSpectrum
+from .spectra import EigenSpectrum, _is_whole
 
 __all__ = [
     "ExactCount",
@@ -251,9 +249,7 @@ class CountPosterior:
 def _check_integer(name: str, value) -> int:
     """value as an int if it is a finite whole number (2, 2.0 and numpy
     integers pass); anything else raises DomainError naming the argument."""
-    if isinstance(value, numbers.Integral) or (
-            isinstance(value, numbers.Real) and math.isfinite(value)
-            and float(value).is_integer()):
+    if _is_whole(value):
         return int(value)
     raise DomainError(f"{name} must be a finite integer, got {value!r}")
 
@@ -442,6 +438,8 @@ def _signal_mp(gvals: np.ndarray, L: int, m: int, sigma2: float, dps: int):
     Builds _mimo_batch's D from m*N multiprecision J values and takes mp.det;
     digits and peak are _mimo_batch's, and the prefactor is the double path's.
     """
+    # Imported on first use: mpmath stays off the package's start-up path.
+    import mpmath as mp
     n = gvals.size
     pref = float(_mimo_prefactor_rows(gvals[None, :], L, m, np.array([sigma2]))[0, 0])
     with mp.workdps(dps):

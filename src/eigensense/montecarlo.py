@@ -18,7 +18,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .detectors import (
     PriorConfig,
@@ -28,7 +27,8 @@ from .detectors import (
     _retry_rows_scalar,
 )
 from .errors import DomainError, InputError, NumericError
-from .spectra import SampleMatrix, _gram_eigenvalues_batch
+from .special import SignedLog
+from .spectra import SampleMatrix, _gram_eigenvalues_batch, _is_whole
 
 __all__ = [
     "Scenario",
@@ -172,6 +172,8 @@ def synthesize_observation(s: Scenario, hypothesis: str, trial_index: int) -> Sa
     with the same index even share nothing but the seed.
     """
     code = _check_hypothesis(hypothesis)
+    if not _is_whole(trial_index):
+        raise InputError(f"trial_index must be a whole number, got {trial_index!r}")
     trial_index = int(trial_index)
     if not 0 <= trial_index < s.n_trials:
         raise InputError(
@@ -283,8 +285,6 @@ def mc_signal_likelihood_oracle(y: SampleMatrix, m: int, sigma2: float,
     if not 0 <= seed < 2 ** 64:
         raise DomainError("seed must fit in an unsigned 64-bit integer")
 
-    from .special import SignedLog
-
     n, L = y.n_sensors, y.n_snapshots
     w_mat = y.entries @ y.entries.conj().T
     lls = np.empty(n_samples)
@@ -313,6 +313,8 @@ def _exact_n1_log(x1: float, sigma2: float, n_snapshots: int) -> float:
     The channel gain nu = |h|^2 is Exp(1), so the likelihood is
     integral over nu of exp(-nu) (pi (nu+sigma2))^-L exp(-x1/(nu+sigma2)).
     """
+    # Imported on first use: scipy stays off the package's start-up path.
+    from scipy import integrate
     x1 = float(x1)
     sigma2 = float(sigma2)
     L = _check_integer("n_snapshots", n_snapshots)

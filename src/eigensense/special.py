@@ -29,10 +29,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
-from scipy import integrate
-from scipy import special as sps
 
 from .errors import DomainError, NumericError
 
@@ -430,6 +427,8 @@ def _log_j_segment_mp(k, y, u_lo, u_hi, dps: int):
     Bounds may be -inf / +inf; y must be > 0 when u_lo is -inf so the left
     tail decays.  Returns an mpf evaluated at the requested precision.
     """
+    # Imported on first use: mpmath stays off the package's start-up path.
+    import mpmath as mp
     with mp.workdps(dps):
         kp1 = mp.mpf(k) + 1
         y_ = mp.mpf(y)
@@ -526,6 +525,10 @@ def j_via_bessel(k: int, x: float, y: float) -> float:
     the subtraction escalates to multiprecision when doubles cannot carry it.
     Raises NumericError when J is not a finite double >= sys.float_info.min.
     """
+    # Imported on first use: scipy and mpmath stay off the package's start-up path.
+    import mpmath as mp
+    from scipy import integrate
+    from scipy import special as sps
     _validate_j_args(k, x)
     if not (math.isfinite(y) and y > 0.0):
         raise DomainError(f"j_via_bessel requires y > 0, got y={y}")

@@ -7,6 +7,8 @@ it with gram_eigenvalues, and hand the EigenSpectrum to the detectors.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +21,12 @@ __all__ = ["SampleMatrix", "EigenSpectrum", "gram_eigenvalues"]
 # solver; anything within this relative band of the largest eigenvalue is
 # clamped to zero, anything below it is treated as a numerical fault.
 _CLAMP_REL = 1e-12
+
+
+def _is_whole(value) -> bool:
+    """True for a finite whole number: 2, 2.0 and numpy integers pass."""
+    return isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and math.isfinite(value) and float(value).is_integer())
 
 
 @dataclass(frozen=True)
@@ -63,6 +71,8 @@ class EigenSpectrum:
             raise InputError("eigenvalues must be finite")
         if np.any(vals < 0.0):
             raise InputError("eigenvalues must be nonnegative")
+        if not _is_whole(self.n_snapshots):
+            raise InputError(f"n_snapshots must be a whole number, got {self.n_snapshots!r}")
         if int(self.n_snapshots) < 1:
             raise InputError("n_snapshots must be >= 1")
         object.__setattr__(self, "values", vals)

@@ -12,14 +12,23 @@ import mpmath as mp
 
 def mp_j(k, x, y, dps=60):
     """J_k(x, y), the integral of t^k e^(-t - y/t) over [x, inf), by direct
-    quadrature in t split at the integrand's peak."""
+    quadrature in t split at the integrand's peak, or close above x when the
+    peak lies below x."""
     with mp.workdps(dps):
-        f = lambda t: t ** mp.mpf(k) * mp.e ** (-t - mp.mpf(y) / t)
-        kp1 = mp.mpf(k) + 1
-        s = mp.sqrt(kp1 * kp1 + 4 * mp.mpf(y))
-        tstar = (kp1 + s) / 2 if kp1 >= 0 else (2 * mp.mpf(y)) / (s - kp1)
-        pts = [mp.mpf(x), tstar, mp.inf] if tstar > x else [mp.mpf(x), mp.inf]
-        return mp.quad(f, pts)
+        k, x, y = mp.mpf(k), mp.mpf(x), mp.mpf(y)
+        f = lambda t: t ** k * mp.e ** (-t - y / t)
+        kp1 = k + 1
+        s = mp.sqrt(kp1 * kp1 + 4 * y)
+        tstar = (kp1 + s) / 2 if kp1 >= 0 else (2 * y) / (s - kp1)
+        if tstar > x:
+            pts, top = [x, tstar, mp.inf], f(tstar)
+        else:
+            # Past the peak the integrand falls from f(x) on the scale h.
+            h = x / max(-(k / x - 1 + y / x ** 2) * x, 1)
+            pts, top = [x, x + h, x + 10 * h, x + 100 * h, mp.inf], f(x)
+        # mp.quad's tolerance is absolute, so the integrand is scaled to 1 at
+        # its largest value: unscaled, e^-1e4 at x = 1e4 read as converged.
+        return top * mp.quad(lambda t: f(t) / top, pts)
 
 
 def mp_one_source_logpdf(values, L, sigma2, dps=50):

@@ -21,6 +21,7 @@ from eigensense import (
     Scenario,
     detection_log_ratio,
     exact_n1_likelihood_oracle,
+    log_mimo_signal_likelihood,
     log_simo_signal_likelihood,
     mc_signal_likelihood_oracle,
     roc_metrics,
@@ -91,6 +92,12 @@ class TestSynthesis:
             synthesize_observation(s, "H0", 10)
         with pytest.raises(InputError):
             synthesize_observation(s, "H0", -1)
+        for bad in (1.7, np.nan, "1"):
+            with pytest.raises(InputError, match="whole number"):
+                synthesize_observation(s, "H1", bad)
+        one = synthesize_observation(s, "H1", 1).entries
+        for good in (1.0, np.int64(1)):
+            assert np.array_equal(synthesize_observation(s, "H1", good).entries, one)
 
     def test_noise_power_calibration(self):
         # Under H0 the mean per-entry energy estimates sigma2.
@@ -237,6 +244,21 @@ class TestMcOracle:
         closed = log_simo_signal_likelihood(spec, 1.0).log_magnitude
         est, se = mc_signal_likelihood_oracle(y, 1, 1.0, 200_000, seed=21)
         assert abs(closed - est.log_magnitude) < 3 * se
+
+    @pytest.mark.parametrize("n, L, m", [(3, 5, 3), (4, 7, 4), (5, 8, 5)])
+    def test_agrees_with_closed_form_at_three_or_more_sources(self, n, L, m):
+        # The other m >= 3 checks share D's layout and the prefactor with the
+        # double path; the channel-averaging oracle shares neither.  The bound
+        # is criterion 4's, |z| <= 3.
+        rng = np.random.default_rng(303)
+        for i in range(4):
+            sigma2 = float(rng.uniform(0.6, 1.8))
+            s = Scenario(n, L, m, -10.0 * math.log10(sigma2), 1, int(rng.integers(2 ** 32)))
+            y = synthesize_observation(s, "H1", 0)
+            closed = log_mimo_signal_likelihood(gram_eigenvalues(y), m, sigma2).log_magnitude
+            est, se = mc_signal_likelihood_oracle(y, m, sigma2, 2_000_000, seed=600 + i)
+            z = (closed - est.log_magnitude) / se
+            assert abs(z) <= 3.0, (i, sigma2, z)
 
     def test_validation(self):
         y = self._observation()

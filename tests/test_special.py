@@ -192,6 +192,14 @@ class TestJIntegral:
             ref = float(mp.log(mp_j(k, x, y)))
             assert got == pytest.approx(ref, abs=5e-11), (k, x, y)
 
+    def test_reference_past_the_peak_at_large_x(self):
+        # The peak lies below x = 1e4 and the integrand decays on a unit scale
+        # above it; both precisions agree with the reference there.
+        ref = float(mp.log(mp_j(-5, 1e4, 10.0)))
+        for precision in ("standard", "extended"):
+            got = j_integral(-5, 1e4, 10.0, precision=precision).log_magnitude
+            assert got == pytest.approx(ref, rel=1e-12), precision
+
     def test_extended_matches_standard(self):
         for k, x, y in [(0, 1.0, 1.0), (-5, 0.5, 3.0), (2, 2.0, 0.1)]:
             s = j_integral(k, x, y).log_magnitude

@@ -61,6 +61,14 @@ class TestEigenSpectrum:
     def test_rejects_bad_snapshots(self):
         with pytest.raises(InputError):
             EigenSpectrum([1.0], 0)
+        for n_snapshots in (8.5, np.float64(7.999), np.nan, np.inf, "8"):
+            with pytest.raises(InputError, match="whole number"):
+                EigenSpectrum([3.0, 1.0], n_snapshots)
+
+    @pytest.mark.parametrize("n_snapshots", [8, 8.0, np.int64(8), np.float64(8.0)])
+    def test_whole_snapshots_of_any_type_pass(self, n_snapshots):
+        s = EigenSpectrum([3.0, 1.0], n_snapshots)
+        assert s.n_snapshots == 8 and type(s.n_snapshots) is int
 
     def test_rejects_empty(self):
         with pytest.raises(InputError):
