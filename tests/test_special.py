@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from eigensense import (
     CancellationReport,
     DomainError,
+    EigensenseError,
     NumericError,
     SignedLog,
     j_integral,
@@ -25,7 +27,9 @@ from eigensense.special import (
     _g_log_integrand,
     _log_j_batch,
     _log_j_segment_mp,
+    _newton_cut,
     _peak_t,
+    _shifted_g,
     _signed_lse_rows,
 )
 from mp_reference import mp_j
@@ -47,13 +51,35 @@ _GRID_CASES = {
                np.concatenate([[0.0, 0.0], np.geomspace(1e-6, 50, 9)])),
     "y0_k2": (2, np.geomspace(0.05, 20.0, 7), np.concatenate([[0.0], np.geomspace(1e-6, 50, 9)])),
     # y far above x: the left tail falls 60 nats below the peak before ln x,
-    # so those pairs bisect a lower cut and the others do not.
+    # so those pairs solve for a lower cut and the others do not.
     "lower_cut": (-6, np.array([0.5, 1.0, 2.0, 40.0]), np.geomspace(10.0, 1e6, 30)),
     # x < 0.05: sides of several panels, above and below the peak.
     "small_x": (-1, np.geomspace(1e-30, 1e-2, 6),
                 np.concatenate([[0.0], np.geomspace(1e-30, 1.0, 20)])),
     "small_x_k-12": (-12, np.geomspace(1e-10, 1e-2, 5), np.geomspace(1e-12, 1e-3, 12)),
 }
+
+
+def _random_points(n=300, seed=20261020):
+    """n seeded (k, x, y): integer k in [-12, 6], x log-uniform on
+    [1e-30, 1e6], y = 0 with probability 0.1, else log-uniform on
+    [1e-30, 1e20]; y = 0 is skipped for k <= -1, which the fixed 40-digit
+    grids hold at k = -12, -5 and -1.  Returns (k, x, y) arrays."""
+    rng = np.random.default_rng(seed)
+    points = []
+    while len(points) < n:
+        k = float(rng.integers(-12, 7))
+        x = math.exp(rng.uniform(math.log(1e-30), math.log(1e6)))
+        y = 0.0 if rng.random() < 0.1 else math.exp(rng.uniform(math.log(1e-30), math.log(1e20)))
+        if not (y == 0.0 and k <= -1):
+            points.append((k, x, y))
+    return tuple(np.array(col) for col in zip(*points))
+
+
+# Edges of the double range for the order, the lower limit and y.
+_EXTREME_K = (1e300, -1e300, 1e20, -1e20, 1e6, -1e6, -2000.0, 0.0)
+_EXTREME_X = (5e-324, 1e-300, 1e-30, 1.0, 1e30, 1e300, 1.7e308)
+_EXTREME_Y = (0.0, 5e-324, 1.0, 1e20, 1e100, 1e300, 1.7e308)
 
 
 class TestSignedLog:
@@ -316,8 +342,8 @@ class TestJIntegral:
             _log_j_batch(np.array([-3.0, np.nan, 2.0]), np.ones((2, 3)), np.ones((3, 4)))
 
     def test_failing_pair_is_named_by_its_own_arguments(self):
-        # Above x = 1e308 the integrand falls 60 nats within a step the cut
-        # bisection cannot resolve, so that integral comes out 0.  The first
+        # Above x = 1e308 the integrand falls 60 nats within less than one
+        # rounding step of ln x, so that integral comes out 0.  The first
         # failing pair in (grid point, group, row) order is (1, 1, 0).
         xs = np.array([[1.0, 2.0, 3.0], [1.0, 1e308, 3.0]])
         ys = np.array([[1.0, 2.0], [0.25, 0.5], [3.0, 4.0]])
@@ -347,6 +373,53 @@ class TestJIntegral:
                     ref = _log_j_segment_mp(k, y, math.log(x), math.inf, 40)
                     tol = 2e-13 if abs(ref) < 1e3 else 2 * math.ulp(float(ref))
                     assert abs(mp.mpf(float(got)) - ref) <= tol, (k, x, y)
+
+    def test_matches_40_digit_reference_at_random_points(self):
+        # Seeded points between the fixed grids' nodes, where a cut solve
+        # that stops short of converging can pass the grids and still miss.
+        # Same bounds as above, each point its own group of one call.
+        ks, xs, ys = _random_points()
+        table = _log_j_batch(ks, xs[None, :], ys[:, None])[0, :, 0]
+        for k, x, y, got in zip(ks.tolist(), xs.tolist(), ys.tolist(), table.tolist()):
+            ref = _log_j_segment_mp(k, y, math.log(x), math.inf, 40)
+            tol = 2e-13 if abs(ref) < 1e3 else 2 * math.ulp(float(ref))
+            assert abs(mp.mpf(got) - ref) <= tol, (k, x, y)
+
+    @pytest.mark.parametrize("x", _EXTREME_X)
+    @pytest.mark.parametrize("k", _EXTREME_K)
+    def test_extreme_arguments_give_a_value_or_a_typed_error(self, k, x):
+        # Past the double range J may be refused, but only by its typed error:
+        # never a NumPy warning first, nor any other exception.
+        outcomes = []
+        for y in _EXTREME_Y:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    value = j_integral(k, x, y).log_magnitude
+                except EigensenseError:
+                    continue
+            outcomes.append((y, value))
+        assert all(math.isfinite(v) for _, v in outcomes), outcomes
+
+    def test_cut_solve_keeps_the_window_contract(self, monkeypatch):
+        # Every cut lies in its bracket, where g has dropped between 50 and
+        # 61 nats below the peak: g(cut) - target in [-1, +10].  The solve's
+        # inputs are those of the grid cases' and the random points' calls.
+        calls = []
+        monkeypatch.setattr("eigensense.special._newton_cut",
+                            lambda *args: calls.append(args) or _newton_cut(*args))
+        for k, xs, ys in _GRID_CASES.values():
+            _one_group(k, xs, ys)
+        ks, xs, ys = _random_points()
+        _log_j_batch(ks, xs[None, :], ys[:, None])
+        monkeypatch.undo()
+        assert len(calls) == len(_GRID_CASES) + 1
+        span, c, t_pk, y_hat = (np.concatenate(col) for col in zip(*calls))
+        v = _newton_cut(span, c, t_pk, y_hat)
+        frac = v / span
+        assert np.all((frac > 0.0) & (frac <= 1.0))
+        excess = _shifted_g(v, c, t_pk, y_hat) + _TAIL_NATS
+        assert np.all((excess >= -1.0) & (excess <= 10.0)), (excess.min(), excess.max())
 
     def test_huge_y_is_within_two_ulp_in_bounded_memory(self, capped_python):
         # At y = 1e20, |g| at the peak is 2e10: formed from g, the integrand
