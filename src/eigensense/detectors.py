@@ -22,7 +22,8 @@ The divided differences cancel catastrophically when eigenvalues cluster, and
 the determinant can amplify what they lost, so every component reports the
 digits it may have lost; one that lost more than CANCEL_DIGITS_LIMIT digits,
 is non-finite or has the wrong sign is flagged in a batch and re-run in
-multiprecision on the scalar path.
+multiprecision on the scalar path, in the calling thread's own mpmath
+context; every function here may be called from several threads at once.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .special import (
     SignedLog,
     _log_j_batch,
     _log_j_segment_mp,
+    _mp_context,
     _signed_lse_rows,
 )
 from .spectra import EigenSpectrum, _is_whole
@@ -438,8 +440,7 @@ def _signal_mp(gvals: np.ndarray, L: int, m: int, sigma2: float, dps: int):
     Builds _mimo_batch's D from m*N multiprecision J values and takes mp.det;
     digits and peak are _mimo_batch's, and the prefactor is the double path's.
     """
-    # Imported on first use: mpmath stays off the package's start-up path.
-    import mpmath as mp
+    mp = _mp_context()
     n = gvals.size
     pref = float(_mimo_prefactor_rows(gvals[None, :], L, m, np.array([sigma2]))[0, 0])
     with mp.workdps(dps):
@@ -705,7 +706,7 @@ def _batch_energy_stats(vals: np.ndarray, L: int, sigma2: float) -> np.ndarray:
 def _batch_fast_stats(vals: np.ndarray, L: int, prior: PriorConfig):
     """Double-precision ln C for a (B, N) stack of descending spectra.
 
-    Touches no global state, so it is safe to run from worker threads.
+    Safe on worker threads, as is the scalar path its flagged rows go to.
     Returns (stats, bad, n_perturbed) where bad flags rows whose evaluation
     cancelled too hard (or signed wrong) and must be redone scalar-side.
     """
@@ -724,9 +725,8 @@ def _retry_rows_scalar(vals: np.ndarray, L: int, prior: PriorConfig,
     """Redo flagged rows through the scalar path, in place.
 
     Each row escalates exactly the components a detection_log_ratio call on
-    it would.  Serial by design: the multiprecision fallback adjusts global
-    mpmath precision, so this must not run concurrently.  Returns
-    (failed_mask_over_rows, n_extended).
+    it would, in the calling thread's own mpmath context, so ROC chunks run
+    this on their worker threads.  Returns (failed_mask_over_rows, n_extended).
     """
     failed = np.zeros(len(rows), dtype=bool)
     n_extended = 0

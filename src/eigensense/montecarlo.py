@@ -395,10 +395,9 @@ def _stats_for_hypothesis(s: Scenario, hyp_code: int, detector,
                           n_threads: int):
     """Detection statistics for every trial under one hypothesis.
 
-    Returns (stats with NaN at failures, n_failed).  The rows any chunk
-    flags are redone in one pass after all chunks, each as a scalar call
-    would be.  Chunk boundaries are fixed, so the result is independent of
-    n_threads.
+    Returns (stats with NaN at failures, n_failed).  Each chunk redoes the
+    rows it flags on its own worker thread, each as a scalar call would be.
+    Chunk boundaries are fixed, so the result is independent of n_threads.
     """
     n_trials = s.n_trials
     n_chunks = (n_trials + _ROC_CHUNK - 1) // _ROC_CHUNK
@@ -413,21 +412,15 @@ def _stats_for_hypothesis(s: Scenario, hyp_code: int, detector,
         block = _synthesize_block(s, hyp_code, start, count)
         vals = _gram_eigenvalues_batch(block)
         if energy:
-            stats = _batch_energy_stats(vals, s.n_snapshots, sigma2)
-            return stats, np.zeros(count, dtype=bool), vals
+            return _batch_energy_stats(vals, s.n_snapshots, sigma2), 0
         stats, bad, _ = _batch_fast_stats(vals, s.n_snapshots, detector.prior)
-        return stats, bad, vals
+        failed, _ = _retry_rows_scalar(vals, s.n_snapshots, detector.prior, stats,
+                                       np.flatnonzero(bad))
+        return stats, int(failed.sum())
 
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        results = list(pool.map(eval_chunk, range(n_chunks)))
-
-    stats, bad, vals = (np.concatenate(parts) for parts in zip(*results))
-    if not bad.any():
-        return stats, 0
-    # Scalar escalation is serial: it adjusts global mpmath precision.
-    failed, _ = _retry_rows_scalar(vals, s.n_snapshots, detector.prior, stats,
-                                   np.nonzero(bad)[0])
-    return stats, int(failed.sum())
+        stats, failed = zip(*pool.map(eval_chunk, range(n_chunks)))
+    return np.concatenate(stats), sum(failed)
 
 
 def run_roc(s: Scenario, detector, thresholds="auto", n_threads: int = 1) -> RocCurve:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,8 @@ _MP_CUT_BISECTIONS = 40
 
 # Digits of cancellation beyond which callers should re-run in extended mode.
 CANCEL_DIGITS_LIMIT = 12.0
+
+_MP_LOCAL = threading.local()  # holds each thread's own mpmath context (_mp_context)
 
 
 # ---------------------------------------------------------------------------
@@ -457,14 +460,22 @@ def _log_j_rows(kp1, a0, y):
         return gmax[pk] + np.log(acc), ok
 
 
+def _mp_context():
+    """The calling thread's own mpmath context, so no thread sets another's
+    precision; one per thread, not per call: mp.quad caches nodes per context."""
+    if not hasattr(_MP_LOCAL, "ctx"):
+        import mpmath  # on first use: mpmath stays off the start-up path
+        _MP_LOCAL.ctx = mpmath.MPContext()
+    return _MP_LOCAL.ctx
+
+
 def _log_j_segment_mp(k, y, u_lo, u_hi, dps: int):
     """log of the integral of e^{g(u)} over [u_lo, u_hi] in mpmath.
 
     Bounds may be -inf / +inf; y must be > 0 when u_lo is -inf so the left
     tail decays.  Returns an mpf evaluated at the requested precision.
     """
-    # Imported on first use: mpmath stays off the package's start-up path.
-    import mpmath as mp
+    mp = _mp_context()
     with mp.workdps(dps):
         kp1 = mp.mpf(k) + 1
         y_ = mp.mpf(y)
@@ -488,7 +499,7 @@ def _log_j_segment_mp(k, y, u_lo, u_hi, dps: int):
         if u_pk > hi:
             u_pk = hi
         gmax = g(u_pk)
-        tail = mp.mp.dps * mp.log(10) + 30
+        tail = dps * mp.log(10) + 30
         target = gmax - tail
 
         def cut(limit, direction):
@@ -536,7 +547,8 @@ def j_integral(k: float, x: float, y: float, *, precision: str = "standard") -> 
     40-digit reference over k in [-12, 6], x in [1e-30, 1e6] and y in
     [0, 1e20], log J is within 2e-13 where |log J| < 1e3 and within 2 ulp
     of log J beyond (worst seen 1.05e-13 and 1.47 ulp, over 624 grid points
-    and 300 random ones).
+    and 300 random ones).  Past |k+1|*|ln x| or x of about 1e13, ln x rounded
+    to a double puts log J O(1) nats off (0.83 at k = -1.72e14, x = 1.97e-29).
     precision="extended" evaluates in multiprecision arithmetic instead
     (used by the cancellation fallback paths).
     """
@@ -562,8 +574,8 @@ def j_via_bessel(k: int, x: float, y: float) -> float:
     the subtraction escalates to multiprecision when doubles cannot carry it.
     Raises NumericError when J is not a finite double >= sys.float_info.min.
     """
-    # Imported on first use: scipy and mpmath stay off the package's start-up path.
-    import mpmath as mp
+    mp = _mp_context()
+    # Imported on first use: scipy stays off the package's start-up path.
     from scipy import integrate
     from scipy import special as sps
     _validate_j_args(k, x)

@@ -9,6 +9,8 @@ internals.
 
 import math
 import re
+import sys
+import threading
 import time
 import warnings
 
@@ -31,6 +33,7 @@ from eigensense import (
     detection_log_ratio,
     energy_statistic,
     gram_eigenvalues,
+    j_integral,
     log_mimo_signal_likelihood,
     log_noise_likelihood,
     log_simo_signal_likelihood,
@@ -600,6 +603,43 @@ class TestExtendedPrecision:
         x = EigenSpectrum([3e-300, 2e-300, 1e-300], 5)
         with pytest.raises(NumericError, match=r"digits cancelled at 120 working digits"):
             detection_log_ratio(x, PriorConfig(ExactCount(1), ExactNoise(1.0)))
+
+    def test_escalation_ignores_the_shared_mpmath_context(self):
+        # All six rows escalate (test_montecarlo's escalated ROC rows).  A
+        # thread that keeps setting the shared mpmath.mp to 15 digits must
+        # not move a multiprecision result by one bit: each thread evaluates
+        # in its own context.
+        s = Scenario(4, 8, 1, 0.0, 3, 11)
+        prior = PriorConfig(ExactCount(4), ExactNoise(10 ** 1.2))
+        spectra = [gram_eigenvalues(synthesize_observation(s, hyp, i))
+                   for hyp in ("H0", "H1") for i in range(s.n_trials)]
+
+        def evaluate():
+            stats = [detection_log_ratio(x, prior) for x in spectra]
+            assert all(stat.extended_used for stat in stats)
+            return ([stat.log_ratio.log_magnitude for stat in stats]
+                    + [j_integral(-5, 1.0, 14.9, precision="extended").log_magnitude])
+
+        want = evaluate()
+        stop = threading.Event()
+
+        def clobber():
+            while not stop.wait(1e-4):
+                mp.mp.dps = 15
+
+        prec, interval = mp.mp.prec, sys.getswitchinterval()
+        clobberer = threading.Thread(target=clobber, daemon=True)
+        sys.setswitchinterval(1e-4)
+        clobberer.start()
+        try:
+            got = evaluate()
+        finally:
+            stop.set()
+            clobberer.join(timeout=10)
+            sys.setswitchinterval(interval)
+            mp.mp.prec = prec
+        assert not clobberer.is_alive()
+        assert got == want
 
     def test_unknown_mode_rejected(self):
         prior = PriorConfig(ExactCount(1), ExactNoise(self.s2))

@@ -377,6 +377,25 @@ class TestRunRoc:
                 n_extended += ref.extended_used
         assert n_extended == 6
 
+    def test_escalation_on_two_roc_threads(self, monkeypatch):
+        # The rows of test_escalated_rows_equal_scalar_calls, each chunk
+        # escalating its own rows on one of two pool threads at once.
+        monkeypatch.setattr(mc, "_ROC_CHUNK", 2)
+        s = Scenario(4, 8, 1, 0.0, 3, 11)
+        prior = PriorConfig(ExactCount(4), ExactNoise(10 ** 1.2))
+        det = BayesDetector(prior)
+        serial = run_roc(s, det, n_threads=1)
+        threaded = run_roc(s, det, n_threads=2)
+        for field in ("thresholds", "far", "cdr"):
+            assert getattr(threaded, field).tobytes() == getattr(serial, field).tobytes()
+        for code, hyp in enumerate(("H0", "H1")):
+            stats, n_failed = mc._stats_for_hypothesis(s, code, det, 2)
+            assert n_failed == 0
+            for i in range(s.n_trials):
+                ref = detection_log_ratio(gram_eigenvalues(synthesize_observation(s, hyp, i)),
+                                          prior)
+                assert stats[i] == ref.log_ratio.log_magnitude, (hyp, i)
+
     @pytest.mark.parametrize("snr_db, grid", [(-35.0, None), (-40.0, None),
                                               (-30.0, (25.0, 35.0, 11, "db"))])
     def test_low_snr_sweeps_have_no_failed_trials(self, snr_db, grid):
