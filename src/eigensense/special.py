@@ -179,14 +179,18 @@ def signed_log_sum(terms) -> tuple[SignedLog, CancellationReport]:
 # (_newton_cut); on 151,702 cuts of random arguments they ended at most
 # 0.004 nats past the target.  Each side is cut into equal panels no longer
 # than _GL_PANEL in v = u - u_pk, each integrated by one 32-node
-# Gauss-Legendre rule.  The
-# integrand is formed as g(u_pk + v) - g(u_pk) directly in v (_shifted_g):
-# formed from g itself it would carry eps*|g| of absolute rounding, 4e-6 nats
-# at y = 1e20, where |g| at the peak is 2e10.  Only the side below the peak
-# depends on x while ln x lies below the peak, so a grid of lower limits
-# shares the peak, the upper cut and the side above it (_log_j_rows).  Rows
-# of different k are independent too, so one call takes every (order, grid)
-# group a statistic needs (_log_j_batch).
+# Gauss-Legendre rule.  At every node the integrand is formed as
+# g(u_pk + v) - g(u_pk) directly in v, by one expm1 expression (_shifted_g);
+# the cuts' drop is its negative, so the cuts and the sides measure one
+# function.  Formed from g itself it would carry eps*|g| of absolute
+# rounding, 4e-6 nats at y = 1e20, where |g| at the peak is 2e10.  Formed in
+# v it carries a few eps of its own terms, |c v|, (t_pk + y_hat) |v|,
+# t_pk |e^v - 1| and y_hat |e^-v - 1|: no more than c v carries already,
+# since c is itself a double sum of k + 1, t_pk and y_hat.  Only the side
+# below the peak depends on x while ln x lies below the peak, so a grid of
+# lower limits shares the peak, the upper cut and the side above it
+# (_log_j_rows).  Rows of different k are independent too, so one call takes
+# every (order, grid) group a statistic needs (_log_j_batch).
 #
 # Why 32 nodes suffice: e^{g(u_pk + v) - gmax} is entire in v, and the cuts
 # bound each side to the stretch where it falls by 60 nats, so Gauss-Legendre
@@ -219,10 +223,6 @@ _GL_BLOCK_NODES = 1 << 15
 # 2048-trial chunk at N = 4.
 _J_BLOCK_ROWS = 1 << 13
 
-# sinh v - v = v^3 * sum_j w^j / (2j+3)! with w = v^2, highest power first.
-# At |v| < 1 the first dropped term, v^19/19!, is below 5e-17 of the sum.
-_SINH_ODD = np.array([1.0 / math.factorial(n) for n in range(17, 2, -2)])
-
 
 def _g_log_integrand(u, kp1, y):
     """g(u); e^u may overflow to inf, so callers ignore overflow."""
@@ -252,16 +252,17 @@ def _newton_cut(span, c, t_pk, y_hat):
 
     c, t_pk and y_hat are the peak's _shifted_g parameters, and the drop
     d(v) = g(u_pk) - g(u_pk + v) = t_pk phi(v) + y_hat phi(-v) - c v is
-    formed from them, relative to the peak.  The solve takes a fixed number
-    of Newton steps on ln(d / _TAIL_NATS) as a function of ln|v|, from the
-    root of d's quadratic model at the peak.  In ln|v| the ways d grows (as
-    v^2 near an interior peak, as |v| along a plateau, as e^|v| up a wall)
-    are straight or convex, so the iterates settle on the root in a few
-    steps, mostly from outside.  A step multiplies v by a positive factor, so
-    it stays on its side of the peak; one that would pass the bracket's end
-    stops there, and one that is not finite (d overflowed or rounded to 0)
-    halves v toward the peak where d is past the target and toward the
-    bracket's end where it is short of it.
+    formed from them, relative to the peak, by the expression of
+    _shifted_g: the drop is the negative of the sides' integrand.  The solve
+    takes a fixed number of Newton steps on ln(d / _TAIL_NATS) as a function
+    of ln|v|, from the root of d's quadratic model at the peak.  In ln|v|
+    the ways d grows (as v^2 near an interior peak, as |v| along a plateau,
+    as e^|v| up a wall) are straight or convex, so the iterates settle on
+    the root in a few steps, mostly from outside.  A step multiplies v by a
+    positive factor, so it stays on its side of the peak; one that would
+    pass the bracket's end stops there, and one that is not finite (d
+    overflowed or rounded to 0) halves v toward the peak where d is past the
+    target and toward the bracket's end where it is short of it.
     """
     # Root of |c| v + (t_pk + y_hat) v^2 / 2 = _TAIL_NATS, in the direction
     # of span and no farther than its end.
@@ -282,28 +283,16 @@ def _newton_cut(span, c, t_pk, y_hat):
 
 def _shifted_g(v, c, t_pk, y_hat):
     """g(u_pk + v) - g(u_pk) without forming g, so its rounding is relative to
-    itself, not to |g|.
+    its own terms, not to |g|.
 
     With phi(v) = e^v - 1 - v >= 0 it is c v - t_pk phi(v) - y_hat phi(-v),
-    where t_pk = e^u_pk, y_hat = y / t_pk and c = g'(u_pk) = k + 1 - t_pk + y_hat.
-    For |v| < 1, phi(+-v) = 2 sinh^2(v/2) +- (sinh v - v), the odd part from
-    its series.  Beyond, phi(+-v) = expm1(+-v) -+ v loses at most two bits,
-    where the two sinh parts would cancel to e^-|v| of their size.  Far from
-    the peak expm1 may overflow to inf, so callers ignore overflow.
+    where t_pk = e^u_pk, y_hat = y / t_pk and c = g'(u_pk) = k + 1 - t_pk + y_hat,
+    and phi(+-v) = expm1(+-v) -+ v at every v.  Near the peak that difference
+    keeps few of phi's own bits, but its error, eps t_pk |v| and
+    eps y_hat |v|, is of the order of the rounding c v carries already.  Far
+    from the peak expm1 may overflow to inf, so callers ignore overflow.
     """
-    w = v * v
-    # Horner in place: the operations of np.polyval(_SINH_ODD, w), in its
-    # order, without a temporary per coefficient.
-    p = w * _SINH_ODD[0] + _SINH_ODD[1]
-    for coef in _SINH_ODD[2:]:
-        p *= w
-        p += coef
-    odd = v * w * p
-    even = 2.0 * np.sinh(0.5 * v) ** 2
-    small = np.abs(v) < 1.0
-    phi_pos = np.where(small, even + odd, np.expm1(v) - v)
-    phi_neg = np.where(small, even - odd, np.expm1(-v) + v)
-    return c * v - t_pk * phi_pos - y_hat * phi_neg
+    return c * v - t_pk * (np.expm1(v) - v) - y_hat * (np.expm1(-v) + v)
 
 
 @np.errstate(invalid="ignore")  # a NaN sum is reported through _log_j_rows' ok mask
@@ -546,8 +535,9 @@ def j_integral(k: float, x: float, y: float, *, precision: str = "standard") -> 
     The value is always positive; the returned sign is +1.  Against a
     40-digit reference over k in [-12, 6], x in [1e-30, 1e6] and y in
     [0, 1e20], log J is within 2e-13 where |log J| < 1e3 and within 2 ulp
-    of log J beyond (worst seen 1.05e-13 and 1.47 ulp, over 624 grid points
-    and 300 random ones).  Past |k+1|*|ln x| or x of about 1e13, ln x rounded
+    of log J beyond (worst seen 1.05e-13 and 1.47 ulp over 624 grid points,
+    6.96e-14 and 1.27 ulp over 300 random ones, and 1.41e-13 and 1.57 ulp
+    over 1,500 more).  Past |k+1|*|ln x| or x of about 1e13, ln x rounded
     to a double puts log J O(1) nats off (0.83 at k = -1.72e14, x = 1.97e-29).
     precision="extended" evaluates in multiprecision arithmetic instead
     (used by the cancellation fallback paths).

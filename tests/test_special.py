@@ -22,6 +22,7 @@ from eigensense import (
 )
 from eigensense.special import (
     _GL_PANEL,
+    _GL_S,
     _J_BLOCK_ROWS,
     _TAIL_NATS,
     _g_log_integrand,
@@ -30,6 +31,7 @@ from eigensense.special import (
     _newton_cut,
     _peak_t,
     _shifted_g,
+    _side_sums,
     _signed_lse_rows,
 )
 from mp_reference import mp_j
@@ -74,6 +76,20 @@ def _random_points(n=300, seed=20261020):
         if not (y == 0.0 and k <= -1):
             points.append((k, x, y))
     return tuple(np.array(col) for col in zip(*points))
+
+
+def _calls_on_test_points(monkeypatch, name, fn):
+    """The argument tuple of each call the J kernel makes to its helper
+    `name` (whose function is fn) on the grid cases and the random points."""
+    calls = []
+    monkeypatch.setattr(f"eigensense.special.{name}",
+                        lambda *args: calls.append(args) or fn(*args))
+    for k, xs, ys in _GRID_CASES.values():
+        _one_group(k, xs, ys)
+    ks, xs, ys = _random_points()
+    _log_j_batch(ks, xs[None, :], ys[:, None])
+    monkeypatch.undo()
+    return calls
 
 
 # Edges of the double range for the order, the lower limit and y.
@@ -405,14 +421,7 @@ class TestJIntegral:
         # Every cut lies in its bracket, where g has dropped between 50 and
         # 61 nats below the peak: g(cut) - target in [-1, +10].  The solve's
         # inputs are those of the grid cases' and the random points' calls.
-        calls = []
-        monkeypatch.setattr("eigensense.special._newton_cut",
-                            lambda *args: calls.append(args) or _newton_cut(*args))
-        for k, xs, ys in _GRID_CASES.values():
-            _one_group(k, xs, ys)
-        ks, xs, ys = _random_points()
-        _log_j_batch(ks, xs[None, :], ys[:, None])
-        monkeypatch.undo()
+        calls = _calls_on_test_points(monkeypatch, "_newton_cut", _newton_cut)
         assert len(calls) == len(_GRID_CASES) + 1
         span, c, t_pk, y_hat = (np.concatenate(col) for col in zip(*calls))
         v = _newton_cut(span, c, t_pk, y_hat)
@@ -420,6 +429,36 @@ class TestJIntegral:
         assert np.all((frac > 0.0) & (frac <= 1.0))
         excess = _shifted_g(v, c, t_pk, y_hat) + _TAIL_NATS
         assert np.all((excess >= -1.0) & (excess <= 10.0)), (excess.min(), excess.max())
+
+    def test_integrand_at_each_node_matches_40_digits(self, monkeypatch):
+        # The integrand at the quadrature nodes of 400 seeded sides of the
+        # grid cases' and the random points' calls, against 40 digits on the
+        # same double inputs.  Its rounding may be a few eps of each of its
+        # terms, |c v|, t_pk |v|, y_hat |v|, t_pk |e^v - 1| and y_hat |e^-v - 1|,
+        # but no more, also near the peak where t_pk + y_hat is large.
+        calls = _calls_on_test_points(monkeypatch, "_side_sums", _side_sums)
+        side, c, t_pk, y_hat = (np.concatenate(col) for col in zip(*calls))
+        pick = np.random.default_rng(2026).choice(side.size, 400, replace=False)
+        nodes = []
+        for i in pick.tolist():
+            n_panels = max(1.0, math.ceil(abs(side[i]) / _GL_PANEL))
+            v = (side[i] / n_panels) * (np.arange(n_panels)[:, None] + _GL_S)
+            nodes.append(np.stack(np.broadcast_arrays(v.ravel(), c[i], t_pk[i], y_hat[i])))
+        v, c, t_pk, y_hat = np.concatenate(nodes, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _shifted_g(v, c, t_pk, y_hat)
+            live = got > -745.0
+            v, c, t_pk, y_hat, got = (q[live] for q in (v, c, t_pk, y_hat, got))
+            bound = 4 * np.finfo(float).eps * (np.abs(c * v) + (t_pk + y_hat) * np.abs(v)
+                                               + t_pk * np.abs(np.expm1(v))
+                                               + y_hat * np.abs(np.expm1(-v)))
+        assert np.any((np.abs(v) < 1.0) & (t_pk + y_hat > 1e6))
+        with mp.workdps(40):
+            for args in zip(v.tolist(), c.tolist(), t_pk.tolist(), y_hat.tolist(),
+                            got.tolist(), bound.tolist()):
+                vm, cm, tm, ym = (mp.mpf(q) for q in args[:4])
+                ref = cm * vm - tm * (mp.exp(vm) - 1 - vm) - ym * (mp.exp(-vm) - 1 + vm)
+                assert abs(args[4] - ref) <= args[5], args[:4]
 
     def test_huge_y_is_within_two_ulp_in_bounded_memory(self, capped_python):
         # At y = 1e20, |g| at the peak is 2e10: formed from g, the integrand
