@@ -486,16 +486,17 @@ def _component_rows(gvals: np.ndarray, L: int, ms, points):
     gvals is a (B, N) stack of guarded descending spectra and points an
     array of sigma2.  Returns _mimo_batch's (4, P, B) arrays joined along
     the component axis, (4, C, B): column i is ms[i // P] at points[i % P].
-    Every J value the components need comes from one kernel call: group
-    (m, j) is the order N-L-2+j at the lower limits m * points with
-    y = m * gvals, and each _mimo_batch gets its m groups as an (m, P, B, N)
-    view.
+    Every J value the components need comes from one kernel call: group m
+    holds the m orders N-L-2+j, j = 1..m, at the lower limits m * points
+    with y = m * gvals, which share one quadrature window per integral, and
+    each _mimo_batch gets its m orders as an (m, P, B, N) view.
     """
     b, n = gvals.shape
     points = np.asarray(points, dtype=float)
-    m_g, j_g = np.array([(m, j) for m in ms for j in range(1, m + 1)], dtype=float).T
-    table = _log_j_batch(n - L - 2 + j_g, np.outer(points, m_g), np.outer(m_g, gvals))
-    table = table.reshape(len(points), m_g.size, b, n).transpose(1, 0, 2, 3)
+    m_g = np.array(ms, dtype=float)
+    table = _log_j_batch(np.full(m_g.size, n - L - 1.0), np.outer(points, m_g),
+                         np.outer(m_g, gvals), ms)
+    table = table.reshape(len(points), -1, b, n).transpose(1, 0, 2, 3)
     starts = np.cumsum([0] + list(ms))
     return np.concatenate([_mimo_batch(gvals, L, m, points, table[g:g + m])
                            for m, g in zip(ms, starts)], axis=1)

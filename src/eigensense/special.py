@@ -50,10 +50,12 @@ _LN10 = math.log(10.0)
 # drops this many nats below its maximum on the domain.
 _TAIL_NATS = 60.0
 
-# Newton steps per J cutoff in doubles (_newton_cut; on random arguments 5
-# steps ended up to 0.3 nats past the target, 6 up to 0.004); bisection
+# The most Newton steps per J cutoff in doubles (_newton_cut; on random
+# arguments 5 steps ended up to 0.3 nats past the target, 6 up to 0.004), and
+# the |ln(drop / _TAIL_NATS)| below which a cutoff stops (0.006 nats); bisection
 # steps per cutoff in _log_j_segment_mp.
 _J_CUT_NEWTON_STEPS = 6
+_J_CUT_STOP = 1e-4
 _MP_CUT_BISECTIONS = 40
 
 # Digits of cancellation beyond which callers should re-run in extended mode.
@@ -175,10 +177,10 @@ def signed_log_sum(terms) -> tuple[SignedLog, CancellationReport]:
 # doubly-exponential tails.  Each integral is reduced to a finite window
 # [a, b] where g stays within _TAIL_NATS of its maximum, split at the peak.
 # Each cut is bracketed by doubling a step away from the peak, then found by
-# _J_CUT_NEWTON_STEPS Newton steps on the log of g's drop below the peak
-# (_newton_cut); on 151,702 cuts of random arguments they ended at most
-# 0.004 nats past the target.  Each side is cut into equal panels no longer
-# than _GL_PANEL in v = u - u_pk, each integrated by one 32-node
+# Newton steps on the log of g's drop below the peak (_newton_cut): a cut
+# stops once its drop is within a factor e^1e-4 of _TAIL_NATS, and none
+# takes more than _J_CUT_NEWTON_STEPS.  Each side is cut into equal panels
+# no longer than _GL_PANEL in v = u - u_pk, each integrated by one 32-node
 # Gauss-Legendre rule.  At every node the integrand is formed as
 # g(u_pk + v) - g(u_pk) directly in v, by one expm1 expression (_shifted_g);
 # the cuts' drop is its negative, so the cuts and the sides measure one
@@ -190,7 +192,26 @@ def signed_log_sum(terms) -> tuple[SignedLog, CancellationReport]:
 # below the peak depends on x while ln x lies below the peak, so a grid of
 # lower limits shares the peak, the upper cut and the side above it
 # (_log_j_rows).  Rows of different k are independent too, so one call takes
-# every (order, grid) group a statistic needs (_log_j_batch).
+# every group of orders, each with its own grid, a statistic needs
+# (_log_j_batch).
+#
+# Shared orders: a signal component needs the orders k0 .. k0 + n - 1 at
+# one x and y, whose log-integrands are g + o u, o = 0 .. n - 1.  They
+# share one window and its nodes, placed by the lowest order's peak u_pk.
+# Below u_pk every order falls at least as fast as order 0 (o v < 0), so
+# order 0's lower cut bounds them all.  The upper cut is where the top
+# order's log-integrand has fallen _TAIL_NATS below its value at u_pk,
+# _shifted_g(v, c + top, ...): its own maximum is no lower than that value,
+# and every lower order has fallen further there, by (top - o) v.  The
+# integrand is formed once per node; order o's is that times e^{o v}, by o
+# multiplications with e^v, and its log is g_o(u_pk) plus the log of its
+# sum, with g_o(u_pk) from _g_log_integrand itself (formed as
+# g(u_pk) + o u_pk it lost a few ulp at |log J| near 1e3).  A window of n
+# orders has panels of at most _GL_PANEL / n: e^{o v} grows across a panel
+# and so weights the wall a side may end in.  At k0 = -1, x = 0.0406,
+# y = 0.0028 and 4 orders, panels of 8 put orders 1 to 3 at 2.8, 18 and
+# 442 times J's tolerance, panels of 4 within 0.0062 of it and the rule's
+# panels of 2 within 0.0024.
 #
 # Why 32 nodes suffice: e^{g(u_pk + v) - gmax} is entire in v, and the cuts
 # bound each side to the stretch where it falls by 60 nats, so Gauss-Legendre
@@ -217,10 +238,10 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _GL_S = 0.5 * (_GL_NODES + 1.0)
 _GL_W = 0.5 * _GL_WEIGHTS
 _GL_PANEL = 8.0
-# Nodes evaluated at once (see _side_sums).
+# Nodes evaluated at once (see _panel_sums).
 _GL_BLOCK_NODES = 1 << 15
-# (group, y) rows evaluated at once (see _log_j_batch): one J order of a
-# 2048-trial chunk at N = 4.
+# Rows times J orders evaluated at once (see _log_j_batch): one J order of a
+# 2048-trial chunk at N = 4, or half a chunk of a two-order component.
 _J_BLOCK_ROWS = 1 << 13
 
 
@@ -247,37 +268,47 @@ def _validate_j_args(k: float, x: float) -> None:
 @np.errstate(invalid="ignore")  # a non-finite step is replaced below
 def _newton_cut(span, c, t_pk, y_hat):
     """Signed offset v from each peak to where g has dropped _TAIL_NATS below
-    it, found inside the bracket between 0 and span, whose end has dropped
-    further.
+    its value there, found inside the bracket between 0 and span, whose end
+    has dropped further.
 
     c, t_pk and y_hat are the peak's _shifted_g parameters, and the drop
     d(v) = g(u_pk) - g(u_pk + v) = t_pk phi(v) + y_hat phi(-v) - c v is
     formed from them, relative to the peak, by the expression of
-    _shifted_g: the drop is the negative of the sides' integrand.  The solve
-    takes a fixed number of Newton steps on ln(d / _TAIL_NATS) as a function
-    of ln|v|, from the root of d's quadratic model at the peak.  In ln|v|
-    the ways d grows (as v^2 near an interior peak, as |v| along a plateau,
-    as e^|v| up a wall) are straight or convex, so the iterates settle on
-    the root in a few steps, mostly from outside.  A step multiplies v by a
-    positive factor, so it stays on its side of the peak; one that would
-    pass the bracket's end stops there, and one that is not finite (d
-    overflowed or rounded to 0) halves v toward the peak where d is past the
-    target and toward the bracket's end where it is short of it.
+    _shifted_g: the drop is the negative of the sides' integrand.  Where
+    c v > 0 (the top order of a shared window, above its lowest order's
+    peak) d first dips below 0 and then rises.  The solve takes Newton steps
+    on ln(d / _TAIL_NATS) as a function of ln|v|, from the root of d's
+    quadratic model at the peak.  In ln|v| the ways d grows (as v^2 near an
+    interior peak, as |v| along a plateau, as e^|v| up a wall) are straight
+    or convex, so the iterates settle on the root in a few steps, mostly from
+    outside.  A row stops once d is within a factor e^1e-4 of _TAIL_NATS
+    (0.006 nats), and keeps that v; the loop ends when every row has
+    stopped, or after _J_CUT_NEWTON_STEPS steps.  Each row stops on its own
+    test, so its cut is a function of its own arguments.  A step multiplies
+    v by a positive factor, so it stays on its side of the peak; one that
+    would pass the bracket's end stops there, and one that is not finite (d
+    overflowed, rounded to 0 or is negative) halves v toward the peak where
+    d is past the target and toward the bracket's end where it is short of
+    it.
     """
-    # Root of |c| v + (t_pk + y_hat) v^2 / 2 = _TAIL_NATS, in the direction
-    # of span and no farther than its end.
-    v0 = 2.0 * _TAIL_NATS / (np.abs(c) + np.hypot(c, np.sqrt(2.0 * _TAIL_NATS * (t_pk + y_hat))))
+    # Root of -c sign(span) |v| + (t_pk + y_hat) v^2 / 2 = _TAIL_NATS, in the
+    # direction of span and no farther than its end.
+    lin = -np.sign(span) * c
+    v0 = 2.0 * _TAIL_NATS / (lin + np.hypot(c, np.sqrt(2.0 * _TAIL_NATS * (t_pk + y_hat))))
     v = np.copysign(np.minimum(v0, np.abs(span)), span)
     for _ in range(_J_CUT_NEWTON_STEPS):
         e_pos = np.expm1(v)
         e_neg = np.expm1(-v)
         drop = t_pk * (e_pos - v) + y_hat * (e_neg + v) - c * v
         log_ratio = np.log(drop / _TAIL_NATS)
+        done = np.abs(log_ratio) < _J_CUT_STOP
+        if done.all():
+            break
         # v d'(v) is the slope of d in ln|v|.
         step = v * np.exp(-log_ratio * drop / (v * (t_pk * e_pos - y_hat * e_neg - c)))
         frac = step / span
-        v = np.where(frac > 0.0, span * np.minimum(frac, 1.0),
-                     np.where(log_ratio > 0.0, 0.5 * v, 0.5 * (v + span)))
+        v = np.where(done, v, np.where(frac > 0.0, span * np.minimum(frac, 1.0),
+                                       np.where(log_ratio > 0.0, 0.5 * v, 0.5 * (v + span))))
     return v
 
 
@@ -292,50 +323,95 @@ def _shifted_g(v, c, t_pk, y_hat):
     eps y_hat |v|, is of the order of the rounding c v carries already.  Far
     from the peak expm1 may overflow to inf, so callers ignore overflow.
     """
-    return c * v - t_pk * (np.expm1(v) - v) - y_hat * (np.expm1(-v) + v)
-
-
-@np.errstate(invalid="ignore")  # a NaN sum is reported through _log_j_rows' ok mask
-def _side_sums(side, c, t_pk, y_hat):
-    """Integral of e^{g(u_pk + v) - g(u_pk)} over v from 0 to each signed
-    length in side, by equal panels of at most _GL_PANEL, 32 nodes each.
-
-    c, t_pk and y_hat are each side's _shifted_g parameters.  The nodes are
-    evaluated in blocks of sides holding at most _GL_BLOCK_NODES of them,
-    which bounds the temporaries; every sum is local to its side, so the
-    blocking changes no bit.
-    """
-    n_panels = np.maximum(1.0, np.ceil(np.abs(side) / _GL_PANEL))
-    width = (side / n_panels)[:, None]
-    step = max(1, _GL_BLOCK_NODES // (_GL_S.size * int(n_panels.max())))
-    out = np.empty(side.size)
-    for lo in range(0, side.size, step):
-        blk = slice(lo, lo + step)
-        # Panels past a side's own count have length 0.
-        j = np.arange(n_panels[blk].max())
-        h = np.where(j < n_panels[blk, None], width[blk], 0.0)
-        f = np.exp(_shifted_g(h[..., None] * (j[:, None] + _GL_S),
-                              *(q[blk, None, None] for q in (c, t_pk, y_hat))))
-        # Row-local sums: a BLAS matrix-vector product rounds a row differently
-        # depending on its position in the matrix.  The panels are summed in
-        # order (cumsum), so the zero-length ones a longer side in the same
-        # block adds leave the sum exact, as a pairwise sum over them would not.
-        out[blk] = np.cumsum(np.abs(h) * (f * _GL_W).sum(-1), axis=-1)[:, -1]
+    # In place, in the order of c v - t_pk (expm1(v) - v) - y_hat (expm1(-v) + v).
+    pos = np.expm1(v)
+    pos -= v
+    pos *= t_pk
+    neg = np.expm1(-v)
+    neg += v
+    neg *= y_hat
+    out = c * v
+    out -= pos
+    out -= neg
     return out
 
 
-def _log_j_batch(k, x, y) -> np.ndarray:
-    """log J_k(x, y) for G groups of rows, each with its own order and grid.
+def _side_sums(side, c, t_pk, y_hat, orders):
+    """Integral of e^{g(u_pk + v) - g(u_pk) + o v} over v from 0 to each signed
+    length in side, for o = 0 .. orders - 1: a (max(orders), S) table whose
+    entries past a side's own count of orders are not meaningful.
+
+    c, t_pk and y_hat are each side's _shifted_g parameters, and orders its
+    count of orders; it runs under _log_j_rows' errstate, and a NaN sum is
+    reported by _log_j_batch.  A side of n orders is cut into equal panels
+    of at most _GL_PANEL / n, 32 nodes each.  The first panel of every side
+    is one pass (_panel_sums); the further panels of the few sides that have
+    them are a second, so a long side pads no short one with panels.  Each
+    side's panels are summed in order (cumsum), so the zero-length panels a
+    longer side in the same block of the second pass adds leave its sum
+    exact, as a pairwise sum over them would not.
+    """
+    n_panels = np.maximum(1.0, np.ceil(np.abs(side) * orders / _GL_PANEL))
+    width = side / n_panels
+    n_ord = int(orders.max())
+    out = _panel_sums(width, n_panels, np.zeros(1), c, t_pk, y_hat, n_ord)[..., 0]
+    more = np.flatnonzero(n_panels > 1.0)
+    if more.size:
+        n_more = n_panels[more]
+        rest = _panel_sums(width[more], n_more, np.arange(1.0, n_more.max()),
+                           c[more], t_pk[more], y_hat[more], n_ord)
+        panels = np.concatenate([out[:, more, None], rest], axis=-1)
+        out[:, more] = np.cumsum(panels, axis=-1)[..., -1]
+    return out
+
+
+def _panel_sums(width, n_panels, j, c, t_pk, y_hat, n_ord):
+    """The (n_ord, S, J) integrals of e^{_shifted_g(v) + o v} over the panels
+    j of width[i] each, side i's panel p covering v from p width[i] to
+    (p + 1) width[i]; a panel past a side's own count n_panels[i] has
+    length 0.
+
+    The nodes are evaluated in blocks of sides holding at most
+    _GL_BLOCK_NODES of them, which bounds the temporaries.  The integrand is
+    formed once per node, and order o's by o multiplications with e^v.
+    """
+    out = np.empty((n_ord, width.size, j.size))
+    step = max(1, _GL_BLOCK_NODES // (_GL_S.size * j.size))
+    for lo in range(0, width.size, step):
+        blk = slice(lo, lo + step)
+        h = np.where(j < n_panels[blk, None], width[blk, None], 0.0)
+        v = h[..., None] * (j[:, None] + _GL_S)
+        f = _shifted_g(v, *(q[blk, None, None] for q in (c, t_pk, y_hat)))
+        np.exp(f, out=f)
+        f *= _GL_W
+        h = np.abs(h)
+        for o in range(n_ord):
+            if o == 1:
+                e_v = np.exp(v, out=v)
+            if o:
+                f *= e_v
+            # Row-local sums: a BLAS matrix-vector product rounds a row
+            # differently depending on its position in the matrix.
+            out[o, blk] = h * f.sum(-1)
+    return out
+
+
+def _log_j_batch(k, x, y, orders=None) -> np.ndarray:
+    """log J_k(x, y) for G groups of rows, each with its own orders and grid.
 
     k has shape (G,), x shape (P, G) and y shape (G, n); group g evaluates
-    order k[g] for every y[g, i] >= 0 at every lower limit x[p, g], and the
-    result has shape (P, G, n).
+    the orders[g] orders k[g], k[g] + 1, ... (one order where orders is
+    None) for every y[g, i] >= 0 at every lower limit x[p, g].  The result
+    has shape (P, sum(orders), n), group-major: column c0 + o holds order
+    k[g] + o of the group whose first column is c0.
 
-    The groups are flattened into rows (g, i), which go through _log_j_rows
-    in blocks of at most _J_BLOCK_ROWS, so the temporaries stay bounded.
-    Every integral is computed and summed on its own, so each value is the
-    same bits whatever the grid, the groups and the blocks it shares a call
-    with.
+    A group's orders share one quadrature window and its nodes per integral
+    (see the comment block above).  The groups are flattened into rows
+    (g, i), which go through _log_j_rows in blocks of at most _J_BLOCK_ROWS
+    rows times orders, so the temporaries stay bounded.  Every integral is
+    computed and summed on its own, so each value is the same bits whatever
+    the grid, the other groups and the blocks it shares a call with; it
+    depends on its own group's count of orders.
     """
     ks = np.asarray(k, dtype=float)
     xs = np.asarray(x, dtype=float)
@@ -344,74 +420,106 @@ def _log_j_batch(k, x, y) -> np.ndarray:
             and xs.shape[1] == ks.size == y.shape[0]):
         raise DomainError(f"J arguments must be k (G,), x (P, G) and y (G, n) with P >= 1; "
                           f"got k {ks.shape}, x {xs.shape} and y {y.shape}")
-    for kg, col in zip(ks.tolist(), xs.T.tolist()):
-        for xp in col:
-            _validate_j_args(kg, xp)
+    x_list = xs.ravel().tolist()
+    # One pass checks k and x: a NaN or an infinity makes the sum non-finite
+    # (so may an overflow, which only costs the loop).  The loop names the
+    # first offender, in (group, grid point) order.
+    if not (math.isfinite(sum(x_list) + sum(ks.tolist())) and min(x_list, default=1.0) > 0.0):
+        for kg, col in zip(ks.tolist(), xs.T.tolist()):
+            for xp in col:
+                _validate_j_args(kg, xp)
     if not np.all(np.isfinite(y)) or np.any(y < 0.0):
         raise DomainError("j_integral requires finite y >= 0")
 
     n = y.shape[1]
+    n_ord = [1] * ks.size if orders is None else [int(o) for o in orders]
+    top = max(n_ord, default=1)
     group = np.repeat(np.arange(ks.size), n)
     kp1 = (ks + 1.0)[group]
+    row_ord = np.array(n_ord, dtype=np.intp)[group]
     yr = y.ravel()
     # ln x by math.log, not np.log, which may round the last bit differently
     # and so move every J value.
-    a0 = np.array([math.log(v) for v in xs.ravel().tolist()]).reshape(xs.shape)
-    out = np.empty((xs.shape[0], yr.size))
-    for lo in range(0, yr.size, _J_BLOCK_ROWS):
-        blk = slice(lo, lo + _J_BLOCK_ROWS)
-        out[:, blk], ok = _log_j_rows(kp1[blk], a0[:, group[blk]], yr[blk])
-        if not ok.all():
-            p, r = np.unravel_index(np.argmin(ok), ok.shape)
-            g, i = divmod(lo + r, n)
-            raise NumericError(f"J quadrature gave a non-positive or non-finite value; "
-                               f"first offender k={ks[g]}, x={xs[p, g]}, y={y[g, i]!r}")
-    return out.reshape(xs.shape + y.shape[1:])
+    a0 = np.array([math.log(v) for v in x_list]).reshape(xs.shape)
+    out = np.empty((top, xs.shape[0], yr.size))
+    step = _J_BLOCK_ROWS // top
+    for lo in range(0, yr.size, step):
+        blk = slice(lo, lo + step)
+        # A block of rows with fewer orders returns fewer of them.
+        vals = _log_j_rows(kp1[blk], a0[:, group[blk]], yr[blk], row_ord[blk])
+        out[:vals.shape[0], :, blk] = vals
+    # (order, grid point, group, row) to (grid point, group and order, row),
+    # dropping the orders past each group's count.
+    out = out.reshape(top, xs.shape[0], ks.size, n).transpose(1, 2, 0, 3)
+    out = out[:, np.arange(top) < np.array(n_ord)[:, None]]
+    # g at every peak is finite, so a value is finite exactly where its
+    # integral is finite and positive.
+    ok = np.isfinite(out)
+    if not ok.all():
+        p, col, i = np.unravel_index(np.argmin(ok), ok.shape)
+        g = int(np.searchsorted(np.cumsum(n_ord), col, side="right"))
+        raise NumericError(f"J quadrature gave a non-positive or non-finite value; "
+                           f"first offender k={ks[g] + (col - sum(n_ord[:g]))}, x={xs[p, g]}, "
+                           f"y={y[g, i]!r}")
+    return out
 
 
-@np.errstate(over="ignore", divide="ignore")
-def _log_j_rows(kp1, a0, y):
-    """log J for rows of k + 1 = kp1[i] and y[i], at the lower limits
-    e^a0[p, i]: a (P, R) table, and the (P, R) mask of the values that are
-    finite with a positive integral.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _log_j_rows(kp1, a0, y, n_ord):
+    """log J for rows of lowest order k + 1 = kp1[i], n_ord[i] orders and
+    y[i], at the lower limits e^a0[p, i]: an (O, P, R) table, O being the
+    most orders of any row; entries past a row's own count of orders are
+    not meaningful.  A value is NaN or infinite where its quadrature did not
+    give a finite, positive integral.
 
-    Where ln x_p lies below row i's peak, the peak, the cuts above it and the
-    side above it do not depend on x_p, so they are computed once per row and
-    shared by every such grid point, which adds only its own side below the
-    peak.  Every integral meets the same nodes of its own window, 32 per
-    panel.
+    The orders of a row share one window and its nodes: the window from the
+    lowest order's lower cut to the top order's upper cut holds every
+    order's (see the comment block above).  Where ln x_p lies below the
+    lowest order's peak, the peak, the upper cut and the side above it do
+    not depend on x_p, so they are computed once per row and shared by
+    every such grid point, which adds only its own side below the peak.
     """
     tstar = _peak_t(kp1, y)
     u_star = np.where(tstar > 0.0, np.log(np.where(tstar > 0.0, tstar, 1.0)), -np.inf)
 
     # Peak tasks: one per row whose peak lies above ln x_p for some p, shared
     # by those (two-sided) pairs; then one per remaining pair, whose peak sits
-    # on ln x_p and whose side below it is empty.  pk maps each pair to its task.
-    two = a0 < u_star
-    rows = np.flatnonzero(two.any(axis=0))
-    one_p, one_i = np.nonzero(~two)
-    two_p, two_i = np.nonzero(two)
-    s = np.searchsorted(rows, two_i)
-    pk = np.empty(two.shape, dtype=np.intp)
-    pk[two] = s
-    pk[~two] = rows.size + np.arange(one_p.size)
-    task_row = np.concatenate([rows, one_i])
-    u_pk = np.concatenate([u_star[rows], a0[one_p, one_i]])
+    # on ln x_p and whose side below it is empty.  Pairs are flat over (p, i),
+    # and pk maps each pair to its task.
+    two = (a0 < u_star).ravel()
+    pair_two = np.flatnonzero(two)
+    pair_one = np.flatnonzero(~two)
+    rows = np.flatnonzero(two.reshape(a0.shape).any(axis=0))
+    s = np.searchsorted(rows, pair_two % y.size)
+    pk = np.empty(two.size, dtype=np.intp)
+    pk[pair_two] = s
+    pk[pair_one] = rows.size + np.arange(pair_one.size)
+    task_row = np.concatenate([rows, pair_one % y.size])
+    u_pk = np.concatenate([u_star[rows], a0.ravel()[pair_one]])
     kp1_pk = kp1[task_row]
     y_pk = y[task_row]
-    with np.errstate(invalid="ignore"):  # inf - inf or 0 * inf: checked right below
-        gmax = _g_log_integrand(u_pk, kp1_pk, y_pk)
+    ord_pk = n_ord[task_row]
+    top = ord_pk - 1
+    # g of every order at each peak: (O, T), one 1-D call per order.
+    g_pk = np.array([_g_log_integrand(u_pk, kp1_pk + o, y_pk)
+                     for o in range(int(ord_pk.max(initial=1)))])
+    gmax = g_pk[0]
     if not np.all(np.isfinite(gmax)):
         raise NumericError("J integrand maximum is not finite; arguments out of range")
     target = gmax - _TAIL_NATS
 
-    # Upper cutoff: double a step past the peak until g drops below target,
-    # which brackets the cut, then solve for it.  Fixed iteration counts keep
-    # every element's result a pure function of its own arguments.
-    step = np.ones(u_pk.size)
+    # Upper cutoff: where the top order's g has dropped _TAIL_NATS below its
+    # value at the lowest order's peak.  Double a step past the peak until it
+    # has, which brackets the cut, then solve for it.  Each element stops
+    # doubling on its own test, so its result is a pure function of its own
+    # arguments.
+    n_task = u_pk.size
+    kp1_top = kp1_pk + top
+    target_top = g_pk[top, np.arange(n_task)] - _TAIL_NATS
+    step = np.ones(n_task)
     hi = u_pk + step
     for _ in range(130):
-        need = _g_log_integrand(hi, kp1_pk, y_pk) > target
+        need = _g_log_integrand(hi, kp1_top, y_pk) > target_top
         if not need.any():
             break
         np.multiply(step, 2.0, out=step, where=need)
@@ -419,34 +527,30 @@ def _log_j_rows(kp1, a0, y):
     else:
         raise NumericError("J tail cutoff search failed to terminate")
 
-    # Lower cutoff of a two-sided pair: only needed when the left tail falls
-    # below target before reaching ln x, which then brackets it.  One solve
-    # moves both kinds of cutoff, each element on its own.
-    a_cut = a0[two_p, two_i]
+    # Lower cutoff of a two-sided pair: only needed when the lowest order's
+    # left tail falls below target before reaching ln x, which then brackets
+    # it.  One solve moves both kinds of cutoff, each element on its own.
+    a_cut = a0.ravel()[pair_two]
     # Past the double range g(ln x) can be NaN (0 * inf at y = 0, or inf - inf);
     # it then counts as below target, and the cut is solved from the peak.
-    with np.errstate(invalid="ignore"):
-        left = np.flatnonzero(~(_g_log_integrand(a_cut, kp1_pk[s], y_pk[s]) >= target[s]))
+    left = np.flatnonzero(~(_g_log_integrand(a_cut, kp1_pk[s], y_pk[s]) >= target[s]))
     t_pk = np.exp(u_pk)
     y_hat = y_pk / t_pk
     c = kp1_pk - t_pk + y_hat
     sl = s[left]
-    owner = np.concatenate([np.arange(u_pk.size), sl])
+    owner = np.concatenate([np.arange(n_task), sl])
     cut = u_pk[owner] + _newton_cut(np.concatenate([step, a_cut[left] - u_pk[sl]]),
-                                    c[owner], t_pk[owner], y_hat[owner])
-    a_cut[left] = cut[u_pk.size:]
+                                    np.concatenate([c + top, c[sl]]), t_pk[owner], y_hat[owner])
+    a_cut[left] = cut[n_task:]
 
     # The sides above every peak, then the sides below the two-sided pairs'.
-    owner = np.concatenate([np.arange(u_pk.size), s])
-    sums = _side_sums(np.concatenate([cut[:u_pk.size] - u_pk, a_cut - u_pk[s]]),
-                      c[owner], t_pk[owner], y_hat[owner])
-    # Lower side plus upper side; a pair with no lower side adds exactly 0.0.
-    lower = np.zeros(two.shape)
-    lower[two] = sums[u_pk.size:]
-    acc = lower + sums[pk]
-    ok = np.isfinite(acc) & (acc > 0.0)
-    with np.errstate(invalid="ignore"):  # a negative acc is reported through ok
-        return gmax[pk] + np.log(acc), ok
+    owner = np.concatenate([np.arange(n_task), s])
+    sums = _side_sums(np.concatenate([cut[:n_task] - u_pk, a_cut - u_pk[s]]),
+                      c[owner], t_pk[owner], y_hat[owner], orders=ord_pk[owner])
+    # Upper side plus lower side; a pair with no lower side adds nothing.
+    acc = sums[:, pk]
+    acc[:, pair_two] += sums[:, n_task:]
+    return (g_pk[:, pk] + np.log(acc)).reshape((-1,) + a0.shape)
 
 
 def _mp_context():

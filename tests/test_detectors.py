@@ -749,10 +749,12 @@ class TestOneKernelCallPerStatistic:
         assert len(calls) == 1
 
     def test_roc_chunk(self, calls):
-        # 2048 rows of 4 x 8 under a two-source grid prior: three J orders of
-        # 2048 * 4 rows each at 11 grid points.
+        # 2048 rows of 4 x 8 under a two-source grid prior: two components of
+        # 2048 * 4 rows each at 11 grid points, one holding one J order (m = 1)
+        # and one two (m = 2).
         vals = TestScalarIsBatchRow._spectra(4, 8, 2048, seed=3)
         prior = PriorConfig(BoundedCount(2), NoiseGrid(-5.0, 5.0, 11, "db"))
         _batch_fast_stats(vals, 8, prior)
         assert len(calls) == 1
-        assert calls[0][1].shape == (11, 3)
+        assert calls[0][1].shape == (11, 2)
+        assert list(calls[0][3]) == [1, 2]

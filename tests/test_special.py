@@ -79,17 +79,49 @@ def _random_points(n=300, seed=20261020):
 
 
 def _calls_on_test_points(monkeypatch, name, fn):
-    """The argument tuple of each call the J kernel makes to its helper
-    `name` (whose function is fn) on the grid cases and the random points."""
+    """The positional argument tuple of each call the J kernel makes to its
+    helper `name` (whose function is fn) on the grid cases and the random
+    points; keyword arguments (_side_sums' orders) are passed on unrecorded."""
     calls = []
     monkeypatch.setattr(f"eigensense.special.{name}",
-                        lambda *args: calls.append(args) or fn(*args))
+                        lambda *args, **kw: calls.append(args) or fn(*args, **kw))
     for k, xs, ys in _GRID_CASES.values():
         _one_group(k, xs, ys)
     ks, xs, ys = _random_points()
     _log_j_batch(ks, xs[None, :], ys[:, None])
     monkeypatch.undo()
     return calls
+
+
+def _shared_window_points(n=75, seed=20261022):
+    """n seeded points of each regime a component's shared window meets, and
+    one named one: (k0, x, y, orders) arrays, orders 2 to 4.
+
+    - The detector regime: (N, L) in {(4, 8), (6, 9), (8, 16), (16, 32)},
+      m = orders uniform in 2..4, sigma2 log-uniform on [10^-1.5, 10^3.5] and
+      an eigenvalue sigma2 L 10^U[-1, 2]; k0 = N - L - 1, x = m sigma2 and
+      y = m times the eigenvalue.
+    - The wide grid: integer k0 in [-12, 6], x log-uniform on [1e-3, 1e6],
+      y on [1e-3, 1e12].
+    - k0 = -1, x = 0.0406, y = 0.0028 at 4 orders: the orders' peaks lie far
+      apart and e^{o v} grows across a side that ends in the wall of e^-t;
+      with panels of 8 the top orders were 18 and 442 times J's tolerance.
+    """
+    rng = np.random.default_rng(seed)
+    shapes = [(4, 8), (6, 9), (8, 16), (16, 32)]
+    points = []
+    for _ in range(n):
+        n_s, L = shapes[rng.integers(len(shapes))]
+        m = int(rng.integers(2, 5))
+        s2 = 10.0 ** rng.uniform(-1.5, 3.5)
+        points.append((n_s - L - 1.0, m * s2, m * s2 * L * 10.0 ** rng.uniform(-1.0, 2.0), m))
+    for _ in range(n):
+        x, y = (math.exp(rng.uniform(math.log(lo), math.log(hi))) for lo, hi in ((1e-3, 1e6),
+                                                                                 (1e-3, 1e12)))
+        points.append((float(rng.integers(-12, 7)), x, y, int(rng.integers(2, 5))))
+    points.append((-1.0, 0.040610490081497724, 0.0027964875465518995, 4))
+    k0, x, y, orders = (np.array(col) for col in zip(*points))
+    return k0, x, y, orders.astype(int)
 
 
 # Edges of the double range for the order, the lower limit and y.
@@ -341,6 +373,21 @@ class TestJIntegral:
             alone = _one_group(ks[g], xs[:, g], ys[g, lo:hi])
             assert table[:, g, lo:hi].tobytes() == alone.tobytes(), (g, lo)
 
+    def test_groups_of_orders_past_one_block_match_each_group_alone(self):
+        # Groups of 1, 3 and 2 orders: a block holds _J_BLOCK_ROWS // 3 rows,
+        # so the first block holds rows of the one-order group only and the
+        # last rows of the two-order group only.
+        n = 3000
+        assert _J_BLOCK_ROWS // 3 < n
+        ys = np.random.default_rng(12).uniform(0.0, 50.0, (3, n))
+        ks, orders = np.array([-5.0, -6.0, -4.0]), [1, 3, 2]
+        xs = np.array([[0.5, 2.0, 1.0], [3.0, 0.1, 0.7]])
+        table = _log_j_batch(ks, xs, ys, orders)
+        assert table.shape == (2, 6, n)
+        for g, col in zip(range(3), (0, 1, 4)):
+            alone = _log_j_batch(ks[g:g + 1], xs[:, g:g + 1], ys[g:g + 1], orders[g:g + 1])
+            assert table[:, col:col + orders[g]].tobytes() == alone.tobytes(), g
+
     @pytest.mark.parametrize("ks, xs, ys", [
         (-3.0, np.ones(2), np.ones(4)),                   # a float k, 1-D x and y
         (np.array([-3.0]), np.ones(2), np.ones((1, 4))),  # a 1-D x
@@ -424,6 +471,44 @@ class TestJIntegral:
         calls = _calls_on_test_points(monkeypatch, "_newton_cut", _newton_cut)
         assert len(calls) == len(_GRID_CASES) + 1
         span, c, t_pk, y_hat = (np.concatenate(col) for col in zip(*calls))
+        v = _newton_cut(span, c, t_pk, y_hat)
+        frac = v / span
+        assert np.all((frac > 0.0) & (frac <= 1.0))
+        excess = _shifted_g(v, c, t_pk, y_hat) + _TAIL_NATS
+        assert np.all((excess >= -1.0) & (excess <= 10.0)), (excess.min(), excess.max())
+
+    def test_shared_window_orders_match_40_digits(self):
+        # Each point is a group of its own orders, all in one call, as the
+        # detectors make it: every order from the shared window against the
+        # 40-digit segment, within J's stated tolerance.
+        k0, x, y, orders = _shared_window_points()
+        table = _log_j_batch(k0, x[None, :], y[:, None], orders)[0, :, 0]
+        assert table.size == orders.sum()
+        col = 0
+        for k, xp, yp, n in zip(k0.tolist(), x.tolist(), y.tolist(), orders.tolist()):
+            for o in range(n):
+                ref = _log_j_segment_mp(k + o, yp, math.log(xp), math.inf, 40)
+                tol = 2e-13 if abs(ref) < 1e3 else 2 * math.ulp(float(ref))
+                assert abs(mp.mpf(float(table[col])) - ref) <= tol, (k, xp, yp, n, o)
+                col += 1
+
+    def test_shared_window_upper_cut_bounds_the_top_order(self, monkeypatch):
+        # A shared window's upper cut is solved on the top order's integrand
+        # relative to the lowest order's peak, _shifted_g with c + top: there
+        # it must have dropped between 59 and 70 nats below its value at the
+        # peak, as each single order's cut must below its own.
+        calls = []
+        monkeypatch.setattr("eigensense.special._newton_cut",
+                            lambda *args: calls.append(args) or _newton_cut(*args))
+        k0, x, y, orders = _shared_window_points()
+        _log_j_batch(k0, x[None, :], y[:, None], orders)
+        monkeypatch.undo()
+        span, c, t_pk, y_hat = (np.concatenate(col) for col in zip(*calls))
+        upper = span > 0.0
+        # At 50 of the 151 points the top order still rises above the peak
+        # (c + top >= 1 there), the case where the drop first dips below zero.
+        assert np.count_nonzero(upper & (c >= 1.0)) >= 40
+        span, c, t_pk, y_hat = (q[upper] for q in (span, c, t_pk, y_hat))
         v = _newton_cut(span, c, t_pk, y_hat)
         frac = v / span
         assert np.all((frac > 0.0) & (frac <= 1.0))
